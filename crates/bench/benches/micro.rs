@@ -100,10 +100,13 @@ fn bench_maintainer_append(c: &mut Criterion) {
 fn bench_wal_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wal");
     let entry = Entry::new(LId(42), record(1, 7));
-    group.bench_function("crc32_512B", |bench| {
-        let data = vec![0xA5u8; 512];
-        bench.iter(|| wal::crc32(std::hint::black_box(&data)))
-    });
+    // A record-sized frame, and a batch-sized one.
+    for (name, len) in [("crc32_512B", 512), ("crc32_32KiB", 32 * 1024)] {
+        group.bench_function(name, |bench| {
+            let data = vec![0xA5u8; len];
+            bench.iter(|| wal::crc32(std::hint::black_box(&data)))
+        });
+    }
     let _ = entry; // encode/decode are internal; CRC dominates the path
     group.finish();
 }

@@ -34,7 +34,7 @@ usage: chariots-top [--duration <secs>] [--refresh <ms>] [--dcs <n>] [--rate <ap
   --transport run the intra-DC hops and FLStore RPCs on in-process simnet
               channels (default) or real TCP loopback sockets; with tcp
               the dashboard grows a chariots.transport.* panel (socket
-              B/s, frames/s, reconnects)";
+              B/s, frames/s, writes/s, reconnects, frames per write)";
 
 struct Opts {
     duration: Duration,
@@ -280,9 +280,22 @@ fn render(live: &LiveView) {
         .collect();
     if !transport.is_empty() {
         transport.sort_by(|a, b| a.0.cmp(&b.0));
-        println!("\ntransport (rolling: B/s, frames/s, reconnects/s)");
-        for (key, rate) in transport.iter().take(24) {
+        println!("\ntransport (rolling: B/s, frames/s, writes/s, reconnects/s)");
+        for (key, rate) in transport.iter().take(30) {
             println!("  {key:<52} {rate:>10.0}");
+        }
+        // How many frames one `write` carried. An endpoint's `frames`
+        // counts each frame where it is sent and again where it is
+        // decoded; `writes` counts on the sending side only.
+        println!("transport (frames per write)");
+        for (key, writes) in transport.iter().filter(|(_, rate)| *rate > 0.0) {
+            let Some(endpoint) = key.strip_suffix(".writes") else {
+                continue;
+            };
+            let frames = format!("{endpoint}.frames");
+            if let Some((_, frames)) = transport.iter().find(|(k, _)| *k == frames) {
+                println!("  {endpoint:<52} {:>10.1}", frames / 2.0 / writes);
+            }
         }
     }
 

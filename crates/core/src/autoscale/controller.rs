@@ -19,8 +19,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use chariots_simnet::{
-    Collector, CollectorConfig, CollectorHandle, Counter, EventKind, Gauge, LiveView,
-    MetricsRegistry, Shutdown, Timeline,
+    Collector, CollectorConfig, CollectorHandle, EventKind, Gauge, LiveView, MetricsRegistry,
+    Shutdown, Timeline,
 };
 use chariots_types::DatacenterId;
 

@@ -98,6 +98,12 @@ impl Incoming {
         }
     }
 
+    /// Whether a caller is blocked on this record's `(TOId, LId)`.
+    #[inline]
+    pub fn awaits_reply(&self) -> bool {
+        matches!(self, Incoming::Local(l) if l.reply.is_some())
+    }
+
     /// The record's trace id, if this record is sampled for tracing.
     #[inline]
     pub fn trace(&self) -> Option<TraceId> {

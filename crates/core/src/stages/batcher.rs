@@ -105,17 +105,24 @@ pub struct BatcherHandle {
     /// When set, `send` serializes the record and ships it over TCP to
     /// this node's loopback listener instead of the channel. Everything
     /// else (station, counters, tracer) is shared with the local handle.
+    /// This is the pipeline's one hop that carries a record per message.
     wire: Option<Arc<TcpSender>>,
 }
 
 impl BatcherHandle {
     /// Feeds one record into the batcher. A traced record's batcher span
     /// starts here, so it includes channel and buffer wait.
+    ///
+    /// Over TCP a record someone waits on the reply of is written before
+    /// this returns, so a blocking append still fails with the transport's
+    /// error instead of waiting for a reply to a frame that never left.
+    /// Every other record is posted: a burst of them shares one `write`.
     pub fn send(&self, record: Incoming) -> bool {
         self.station.note_arrival(1);
         self.tracer.enter(record.trace());
         match &self.wire {
-            Some(wire) => wire.send(&record).is_ok(),
+            Some(wire) if record.awaits_reply() => wire.send(&record).is_ok(),
+            Some(wire) => wire.post(&record).is_ok(),
             None => self.tx.send(record).is_ok(),
         }
     }

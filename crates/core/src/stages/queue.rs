@@ -430,6 +430,21 @@ fn queue_loop(
 ) {
     let mut core = QueueCore::new(cfg.dc, cfg.carries_deferred);
     let pass_token = |token: Token| cfg.next_queue.lock().send(token).is_ok();
+    // Assigns everything assignable under the token and hands it to the
+    // maintainers; returns how many records that was.
+    let assign = |core: &mut QueueCore, token: &mut Token| {
+        let entries = core.process(token);
+        let assigned = entries.len() as u64;
+        processed.add(assigned);
+        for e in &entries {
+            // The queue span ends at assignment; the store span opens as
+            // the entry leaves for its maintainer.
+            cfg.tracer.exit(e.record.trace);
+            cfg.store_tracer.enter(e.record.trace);
+        }
+        route_entries(entries, &cfg.controller, &cfg.maintainers.read());
+        assigned
+    };
     loop {
         if shutdown.is_signaled() {
             return;
@@ -484,16 +499,23 @@ fn queue_loop(
         }
 
         let staged = core.staged_len() as u64;
-        let entries = core.process(&mut token);
-        let assigned = entries.len() as u64;
-        processed.add(assigned);
-        for e in &entries {
-            // The queue span ends at assignment; the store span opens as
-            // the entry leaves for its maintainer.
-            cfg.tracer.exit(e.record.trace);
-            cfg.store_tracer.enter(e.record.trace);
+        let mut assigned = assign(&mut core, &mut token);
+        if assigned == 0 && staged == 0 && !cfg.idle_pause.is_zero() {
+            // Nothing to do: rest before passing the token on, so a quiet
+            // single-queue deployment doesn't spin — but rest on the
+            // records channel. A batch that arrives meanwhile is assigned
+            // under the token already in hand instead of waiting out the
+            // pause and another trip round the ring.
+            if let Ok(batch) = records_rx.recv_timeout(cfg.idle_pause) {
+                let n = batch.len() as u64;
+                core.stage(batch);
+                if station.serve(n).is_err() {
+                    let _ = pass_token(token);
+                    continue;
+                }
+                assigned = assign(&mut core, &mut token);
+            }
         }
-        route_entries(entries, &cfg.controller, &cfg.maintainers.read());
         if retire.retiring.load(Ordering::SeqCst) {
             // Draining: the ingress is already gone, so the channel only
             // shrinks. Push anything parked here onto the token and report
@@ -516,12 +538,6 @@ fn queue_loop(
             cfg.sender_wakeup.notify();
         }
         token.passes += 1;
-
-        if assigned == 0 && staged == 0 && !cfg.idle_pause.is_zero() {
-            // Nothing to do: rest before passing the token on, so a quiet
-            // single-queue deployment doesn't spin.
-            std::thread::sleep(cfg.idle_pause);
-        }
         if !pass_token(token) {
             return;
         }
@@ -551,6 +567,63 @@ mod tests {
             reply: None,
             trace: None,
         }
+    }
+
+    /// A batch that reaches a queue resting with the token is assigned
+    /// then, not after the rest of the pause.
+    #[test]
+    fn idle_token_holder_assigns_a_batch_as_it_arrives() {
+        use chariots_flstore::RangeMap;
+        use chariots_simnet::StationConfig;
+        use crossbeam::channel::bounded;
+
+        let idle_pause = Duration::from_secs(5);
+        let (token_tx, token_rx) = unbounded();
+        let shutdown = Shutdown::new();
+        let (queue, thread) = spawn_queue(
+            QueueNodeConfig {
+                dc: DatacenterId(0),
+                carries_deferred: true,
+                controller: Controller::new(DatacenterId(0), RangeMap::new(1, 1_000)),
+                maintainers: Arc::new(RwLock::new(Vec::new())),
+                atable: Arc::new(RwLock::new(ATable::new(1))),
+                next_queue: Arc::new(Mutex::new(token_tx.clone())),
+                idle_pause,
+                tracer: StageTracer::disabled(),
+                store_tracer: StageTracer::disabled(),
+                sender_wakeup: Notify::new(),
+                health: StageHealth::disabled(),
+            },
+            (token_tx, token_rx),
+            Arc::new(ServiceStation::new("q0", StationConfig::uncapped())),
+            shutdown.clone(),
+            "queue-test".into(),
+        );
+        let append = |reply| {
+            let mut l = local(vec![0]);
+            l.reply = Some(chariots_simnet::ReplyTo::local(reply));
+            queue.ingress().send(vec![Incoming::Local(l)])
+        };
+        queue.inject_token(Token::new(1));
+        // The first reply shows the queue has the token and has used it;
+        // with nothing more staged it now rests, token in hand.
+        let (reply, first) = bounded(1);
+        assert!(append(reply));
+        first.recv_timeout(Duration::from_secs(10)).unwrap();
+        // Give it time to get there. Whether the next batch then meets the
+        // queue resting or (on a slow machine) still on its way, it is
+        // assigned without waiting out a pause.
+        std::thread::sleep(Duration::from_millis(100));
+        let (reply, second) = bounded(1);
+        assert!(append(reply));
+        assert_eq!(
+            second.recv_timeout(idle_pause / 2).unwrap(),
+            (TOId(2), LId(1))
+        );
+        // An empty batch ends the pause the loop is in, and it sees the signal.
+        shutdown.signal();
+        assert!(queue.ingress().send(Vec::new()));
+        thread.join().unwrap();
     }
 
     #[test]

@@ -266,6 +266,12 @@ impl Wire for MaintainerRequest {
     }
 }
 
+impl std::fmt::Debug for MaintainerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("MaintainerHandle")
+    }
+}
+
 /// Client-side handle to a maintainer node. Cheap to clone.
 #[derive(Clone)]
 pub struct MaintainerHandle {
@@ -2086,7 +2092,7 @@ mod tests {
         // Indexer ingestion is async; poll briefly.
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
-            let hits = ix.lookup("key".into(), None, Limit::All).unwrap();
+            let hits = ix.lookup("key".into(), None, None, Limit::All).unwrap();
             if hits == vec![ids[0].1] {
                 break;
             }

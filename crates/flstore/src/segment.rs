@@ -176,12 +176,15 @@ impl SegmentStore {
         let seg = self.segment_mut(local_idx);
         let slot = (local_idx % size) as usize;
         let was_empty = seg.slots[slot].is_none();
-        if let Some(old) = seg.slots[slot].replace(entry) {
+        let old = seg.slots[slot].replace(entry);
+        if was_empty {
+            seg.filled += 1;
+        }
+        if let Some(old) = old {
             self.resident_bytes -= old.record.body.len() as u64;
         }
         self.resident_bytes += body_bytes;
         if was_empty {
-            seg.filled += 1;
             self.len += 1;
             while self.get(self.filled_prefix).is_some() {
                 self.filled_prefix += 1;

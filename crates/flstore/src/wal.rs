@@ -1007,6 +1007,55 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// A sealed one-entry segment written by the build before the CRC was
+    /// table-sliced (hex-dumped from it): its header and its entry frame
+    /// still verify, and replay yields the entry.
+    #[test]
+    fn golden_segment_from_the_bytewise_crc_build_still_replays() {
+        let hex = concat!(
+            "435345470100010000000000000000002a000000000000002a000000000000000100000000000000",
+            "e5113fe9000000004d0000006b5e389f2a0000000000000001000700000000000000020003000000",
+            "000000000600000000000000020003006b657902010000007803007075740012000000676f6c6465",
+            "6e207265636f726420626f6479",
+        );
+        let golden: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let entry = Entry::new(
+            LId(42),
+            Record::new(
+                RecordId::new(DatacenterId(1), TOId(7)),
+                VersionVector::from_entries(vec![TOId(3), TOId(6)]),
+                TagSet::new()
+                    .with(Tag::with_value("key", "x"))
+                    .with(Tag::key("put")),
+                Bytes::from_static(b"golden record body"),
+            ),
+        );
+
+        let header = SegHeader::decode(&golden).expect("header CRC verifies");
+        let sealed = SegHeader {
+            sealed: true,
+            seq: 0,
+            first_lid: 42,
+            last_lid: 42,
+            frames: 1,
+        };
+        assert_eq!(header, sealed);
+        assert_eq!(sealed.encode()[..], golden[..SEG_HEADER_LEN as usize]);
+        let mut frame = Vec::new();
+        let mut payload = Vec::new();
+        encode_entry(&entry, &mut payload);
+        write_frame(&mut frame, &payload).unwrap();
+        assert_eq!(frame[..], golden[SEG_HEADER_LEN as usize..]);
+
+        let dir = chariots_simnet::TestDir::new("chariots-wal-golden");
+        let base = dir.path().join("golden.wal");
+        std::fs::write(Wal::segment_path(&base, 0), &golden).unwrap();
+        assert_eq!(Wal::replay(&base).unwrap(), vec![entry]);
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let entry = sample_entry(42, 7);

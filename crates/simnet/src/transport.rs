@@ -13,9 +13,13 @@
 //!   `[len u32 LE][crc32 u32 LE][payload]`. Corrupt input is rejected,
 //!   never panicked on, and a CRC-failed frame does not mis-frame the next
 //!   message (the length prefix still delimits it).
-//! * [`TcpSender`] — a pooled, reconnecting connection to one peer. One
-//!   serialization per message into a reusable buffer, then a vectored
-//!   write of header + payload: zero intermediate copies of record bodies.
+//! * [`TcpSender`] — a pooled, reconnecting connection to one peer. Every
+//!   message is serialized once, header and payload, straight into the
+//!   connection's frame buffer; a flush writes everything buffered in one
+//!   `write`. [`send`](TcpSender::send) flushes on the caller's thread,
+//!   the one-way [`post`](TcpSender::post) leaves the flush to the
+//!   connection's writer thread, so a burst of posts costs one system call
+//!   rather than one each.
 //! * [`spawn_wire_listener`] — binds `127.0.0.1:0`, decodes inbound frames
 //!   into typed messages, and hands them to a callback (one reader thread
 //!   per connection, reusable receive buffer).
@@ -30,11 +34,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread;
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, Bytes, BytesMut};
@@ -69,6 +73,9 @@ pub struct TransportMetrics {
     pub bytes_in: Counter,
     /// Frames successfully sent or decoded.
     pub frames: Counter,
+    /// `write` calls that moved bytes to a socket. `frames` sent over
+    /// `writes` is how many frames one system call carried.
+    pub writes: Counter,
     /// Times a pooled connection had to be re-established.
     pub reconnects: Counter,
     /// Microseconds spent serializing each outbound message.
@@ -89,6 +96,7 @@ impl TransportMetrics {
             bytes_out: registry.counter(&format!("{base}.bytes_out")),
             bytes_in: registry.counter(&format!("{base}.bytes_in")),
             frames: registry.counter(&format!("{base}.frames")),
+            writes: registry.counter(&format!("{base}.writes")),
             reconnects: registry.counter(&format!("{base}.reconnects")),
             serialize_us: registry.histogram(&format!("{base}.serialize_us")),
         }
@@ -123,27 +131,38 @@ impl fmt::Display for FrameError {
     }
 }
 
-/// Writes one frame to `w` as a vectored write of header + payload. The
-/// payload is borrowed, not copied.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
-    let total = FRAME_HEADER_BYTES + payload.len();
-    let mut written = 0;
-    while written < total {
-        let n = if written < FRAME_HEADER_BYTES {
-            let bufs = [IoSlice::new(&header[written..]), IoSlice::new(payload)];
-            w.write_vectored(&bufs)?
-        } else {
-            w.write(&payload[written - FRAME_HEADER_BYTES..])?
-        };
-        if n == 0 {
-            return Err(io::ErrorKind::WriteZero.into());
-        }
-        written += n;
+/// Appends one frame to `buf`: the header, then whatever `fill` writes as
+/// the payload, with length and CRC patched in afterwards — the payload is
+/// serialized in place, never copied. A payload over [`MAX_FRAME_BYTES`]
+/// (which the receiver would refuse) is taken back out of `buf`.
+pub fn append_frame(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), FrameError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]);
+    fill(buf);
+    let body = start + FRAME_HEADER_BYTES;
+    let len = buf.len() - body;
+    if len > MAX_FRAME_BYTES {
+        buf.truncate(start);
+        return Err(FrameError::TooLarge(len));
     }
+    let crc = crc32(&buf[body..]);
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start + 4..body].copy_from_slice(&crc.to_le_bytes());
     Ok(())
+}
+
+/// The offset of the frame that holds byte `at` of `frames` (complete
+/// frames back to back; `at` within them).
+fn frame_start(frames: &[u8], at: usize) -> usize {
+    let mut start = 0;
+    loop {
+        let len = u32::from_le_bytes(frames[start..start + 4].try_into().expect("4 bytes"));
+        let next = start + FRAME_HEADER_BYTES + len as usize;
+        if next > at {
+            return start;
+        }
+        start = next;
+    }
 }
 
 /// Incremental, torn-frame-safe decoder for the wire format. Feed it raw
@@ -209,101 +228,135 @@ impl FrameDecoder {
 // Sender
 // ---------------------------------------------------------------------------
 
-struct SenderState {
+/// Bytes of posted frames that may wait for the writer thread. A `post`
+/// that finds this much pending blocks until a flush has taken it, so a
+/// caller that outruns the socket is slowed by TCP back-pressure rather
+/// than buffered without bound.
+const PENDING_CAP_BYTES: usize = 256 * 1024;
+
+/// How long the writer thread, once a post has woken it, waits for more
+/// before it flushes (the kernel's timer slack, 50 µs by default, comes on
+/// top). Paced callers post in bursts; without the wait the writer keeps
+/// up with them and each `write` carries three or four frames, with it a
+/// whole burst. A `send` never waits: it flushes what is there.
+const POST_LINGER: Duration = Duration::from_micros(50);
+
+/// Frames handed to the sender and not yet to the socket.
+#[derive(Default)]
+struct Pending {
+    /// Complete frames, back to back.
+    frames: Vec<u8>,
+    count: u64,
+    /// Posters asleep at the cap (a flush wakes them only if there are any).
+    blocked: usize,
+    /// What the writer thread's last failed flush lost its frames to;
+    /// handed to the next `post`.
+    failed: Option<ChariotsError>,
+    /// The sender is being dropped: the writer flushes what is left and exits.
+    closed: bool,
+}
+
+struct Connection {
     stream: Option<TcpStream>,
-    /// Reusable encode buffer: one serialization per message, no
-    /// per-message allocation once the buffer has grown to working size.
-    buf: Vec<u8>,
+    /// The frames a flush is writing; empty between flushes. It trades
+    /// places with `Pending::frames`, so appends go on during a write and
+    /// neither allocation is ever given up.
+    out: Vec<u8>,
     ever_connected: bool,
 }
 
-/// A pooled, reconnecting TCP connection to one peer. `send` serializes
-/// the message once into a reusable buffer and writes header + payload
-/// with a vectored write. On an I/O error the connection is dropped and
-/// re-dialed once within the same call; if that also fails the error
-/// surfaces as the transient [`ChariotsError::Transport`] and the *next*
-/// call dials fresh — callers under a retry policy ride straight through.
-pub struct TcpSender {
+/// What a [`TcpSender`] shares with its writer thread. Lock order:
+/// `conn`, then `pending`.
+struct SenderShared {
     peer: SocketAddr,
-    state: Mutex<SenderState>,
     metrics: TransportMetrics,
+    /// Held for the length of a flush: whoever holds it is the only writer
+    /// of the socket.
+    conn: std::sync::Mutex<Connection>,
+    pending: std::sync::Mutex<Pending>,
+    /// Signaled when `pending` stops being empty, and on close.
+    work: Condvar,
+    /// Signaled when a flush has emptied `pending` and posters wait.
+    room: Condvar,
 }
 
-impl TcpSender {
-    /// A sender for `peer`. The connection is dialed lazily on first send.
-    pub fn new(peer: SocketAddr, metrics: TransportMetrics) -> Self {
-        TcpSender {
-            peer,
-            state: Mutex::new(SenderState {
-                stream: None,
-                buf: Vec::new(),
-                ever_connected: false,
-            }),
-            metrics,
+impl SenderShared {
+    fn conn(&self) -> MutexGuard<'_, Connection> {
+        self.conn.lock().expect("a flush panicked")
+    }
+
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().expect("an append panicked")
+    }
+
+    /// Appends one frame to `pending`.
+    fn append(
+        &self,
+        pending: &mut Pending,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ChariotsError> {
+        append_frame(&mut pending.frames, fill)
+            .map_err(|e| ChariotsError::Transport(format!("send to {}: {e}", self.peer)))?;
+        pending.count += 1;
+        Ok(())
+    }
+
+    /// Writes out everything pending — the one way bytes reach the socket.
+    /// Because a flush always takes the whole buffer, frames leave in the
+    /// order they were appended, whichever thread flushes.
+    ///
+    /// On an I/O error the connection is dropped and re-dialed once, and
+    /// the write resumes at the first frame the old connection did not
+    /// take whole. If that fails too, every frame not yet written is lost
+    /// and the error is returned; the next flush dials afresh.
+    fn flush(&self, conn: &mut Connection) -> Result<(), ChariotsError> {
+        let count = {
+            let mut pending = self.pending();
+            std::mem::swap(&mut pending.frames, &mut conn.out);
+            if pending.blocked > 0 {
+                self.room.notify_all();
+            }
+            std::mem::take(&mut pending.count)
+        };
+        if conn.out.is_empty() {
+            // The writer thread, beaten to its frames by a `send`.
+            return Ok(());
         }
+        let result = self.write_out(conn);
+        conn.out.clear();
+        if result.is_ok() {
+            self.metrics.frames.add(count);
+        }
+        result
     }
 
-    /// The peer this sender dials.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Serializes `msg` and sends it as one frame.
-    pub fn send<T: Wire>(&self, msg: &T) -> Result<(), ChariotsError> {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        st.buf.clear();
-        let t0 = Instant::now();
-        msg.encode(&mut st.buf);
-        self.metrics
-            .serialize_us
-            .record(t0.elapsed().as_micros() as u64);
-        self.send_buffered(st)
-    }
-
-    /// Sends an already-encoded payload as one frame (reply plumbing).
-    pub fn send_raw(&self, payload: &[u8]) -> Result<(), ChariotsError> {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        st.buf.clear();
-        st.buf.extend_from_slice(payload);
-        self.send_buffered(st)
-    }
-
-    fn send_buffered(&self, st: &mut SenderState) -> Result<(), ChariotsError> {
+    fn write_out(&self, conn: &mut Connection) -> Result<(), ChariotsError> {
+        let mut written = 0;
         let mut last_err: Option<io::Error> = None;
         for _attempt in 0..2 {
-            if st.stream.is_none() {
-                if st.ever_connected {
-                    self.metrics.reconnects.add(1);
-                }
-                match TcpStream::connect(self.peer) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        st.ever_connected = true;
-                        st.stream = Some(s);
+            let stream = match &mut conn.stream {
+                Some(stream) => stream,
+                None => {
+                    if conn.ever_connected {
+                        self.metrics.reconnects.add(1);
                     }
-                    Err(e) => {
-                        return Err(ChariotsError::Transport(format!(
-                            "connect to {} failed: {e}",
-                            self.peer
-                        )));
-                    }
+                    let stream = TcpStream::connect(self.peer).map_err(|e| {
+                        ChariotsError::Transport(format!("connect to {} failed: {e}", self.peer))
+                    })?;
+                    let _ = stream.set_nodelay(true);
+                    conn.ever_connected = true;
+                    conn.stream.insert(stream)
                 }
-            }
-            let stream = st.stream.as_mut().expect("connected above");
-            match write_frame(stream, &st.buf) {
-                Ok(()) => {
-                    self.metrics.frames.add(1);
-                    self.metrics
-                        .bytes_out
-                        .add((FRAME_HEADER_BYTES + st.buf.len()) as u64);
-                    return Ok(());
-                }
+            };
+            match self.write_rest(stream, &conn.out, &mut written) {
+                Ok(()) => return Ok(()),
                 Err(e) => {
-                    // Reconnect once and retry: a peer restart between
-                    // sends otherwise loses exactly one message.
-                    st.stream = None;
+                    // Reconnect once and go on: a peer restart between
+                    // flushes otherwise loses the frames of exactly one
+                    // flush. Frames the dead connection took whole are not
+                    // sent twice.
+                    conn.stream = None;
+                    written = frame_start(&conn.out, written);
                     last_err = Some(e);
                 }
             }
@@ -314,12 +367,192 @@ impl TcpSender {
             last_err.expect("loop exited via error")
         )))
     }
+
+    /// `write_all` of `out[*written..]` that counts its system calls and
+    /// leaves in `written` how far it got.
+    fn write_rest(
+        &self,
+        stream: &mut TcpStream,
+        out: &[u8],
+        written: &mut usize,
+    ) -> io::Result<()> {
+        while *written < out.len() {
+            match stream.write(&out[*written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.metrics.writes.add(1);
+                    self.metrics.bytes_out.add(n as u64);
+                    *written += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The writer thread: flushes [`POST_LINGER`] after something became
+    /// pending, until the sender is dropped and nothing is.
+    fn run_writer(&self) {
+        loop {
+            {
+                let mut pending = self.pending();
+                while pending.frames.is_empty() {
+                    if pending.closed {
+                        return;
+                    }
+                    pending = self.work.wait(pending).expect("an append panicked");
+                }
+                // Posts signal `work` only when the buffer was empty, so
+                // nothing but the drop of the sender cuts this short.
+                let _lingered = self
+                    .work
+                    .wait_timeout_while(pending, POST_LINGER, |p| !p.closed)
+                    .expect("an append panicked");
+            }
+            let result = self.flush(&mut self.conn());
+            if let Err(e) = result {
+                self.pending().failed = Some(e);
+            }
+        }
+    }
+}
+
+/// A pooled, reconnecting TCP connection to one peer, with one buffer of
+/// complete frames in front of it and two ways in:
+///
+/// * [`send`](Self::send) appends the message and flushes on the caller's
+///   thread. A failure of that flush is the caller's `Err`. For requests
+///   that carry a [`ReplyTo`], batches, and replies.
+/// * [`post`](Self::post) appends the message and returns; the
+///   connection's writer thread, woken by the first post into an empty
+///   buffer, flushes some 50–100 µs later everything posted by then in one
+///   `write`. For one-way messages that arrive one record at a time.
+///
+/// Frames reach the peer in the order the two calls appended them. Flush
+/// failures surface as the transient [`ChariotsError::Transport`] and the
+/// next flush dials fresh — callers under a retry policy ride straight
+/// through.
+pub struct TcpSender {
+    shared: Arc<SenderShared>,
+    /// Started by the first `post`; a sender that only `send`s has none.
+    writer: OnceLock<JoinHandle<()>>,
+}
+
+impl TcpSender {
+    /// A sender for `peer`. The connection is dialed lazily on first flush.
+    pub fn new(peer: SocketAddr, metrics: TransportMetrics) -> Self {
+        TcpSender {
+            shared: Arc::new(SenderShared {
+                peer,
+                metrics,
+                conn: std::sync::Mutex::new(Connection {
+                    stream: None,
+                    out: Vec::new(),
+                    ever_connected: false,
+                }),
+                pending: std::sync::Mutex::default(),
+                work: Condvar::new(),
+                room: Condvar::new(),
+            }),
+            writer: OnceLock::new(),
+        }
+    }
+
+    /// The peer this sender dials.
+    pub fn peer(&self) -> SocketAddr {
+        self.shared.peer
+    }
+
+    /// Bytes of frames appended and not yet taken by a flush.
+    #[cfg(test)]
+    fn pending_bytes(&self) -> usize {
+        self.shared.pending().frames.len()
+    }
+
+    /// Serializes `msg` as one frame behind everything posted so far and
+    /// writes all of it before returning.
+    pub fn send<T: Wire>(&self, msg: &T) -> Result<(), ChariotsError> {
+        self.send_with(|buf| self.encode_timed(msg, buf))
+    }
+
+    /// Sends an already-encoded payload as one frame (reply plumbing).
+    pub fn send_raw(&self, payload: &[u8]) -> Result<(), ChariotsError> {
+        self.send_with(|buf| buf.extend_from_slice(payload))
+    }
+
+    fn send_with(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ChariotsError> {
+        // The connection first: this thread, not the writer, must be the
+        // one that writes the frame it is about to append.
+        let mut conn = self.shared.conn();
+        self.shared.append(&mut self.shared.pending(), fill)?;
+        self.shared.flush(&mut conn)
+    }
+
+    /// Serializes `msg` as one frame and leaves the writing to the
+    /// connection's writer thread. Blocks only while 256 KiB of earlier
+    /// posts are still waiting for it.
+    ///
+    /// `Ok` means queued, not written. If the writer thread's flush fails,
+    /// the frames it was writing are lost and the *next* `post` returns
+    /// that error instead of queuing its message.
+    pub fn post<T: Wire>(&self, msg: &T) -> Result<(), ChariotsError> {
+        self.writer.get_or_init(|| {
+            let shared = Arc::clone(&self.shared);
+            thread::Builder::new()
+                .name("transport-writer".into())
+                .spawn(move || shared.run_writer())
+                .expect("spawn transport writer")
+        });
+        let mut pending = self.shared.pending();
+        while pending.frames.len() >= PENDING_CAP_BYTES {
+            pending.blocked += 1;
+            pending = self.shared.room.wait(pending).expect("an append panicked");
+            pending.blocked -= 1;
+        }
+        if let Some(e) = pending.failed.take() {
+            return Err(e);
+        }
+        let was_empty = pending.frames.is_empty();
+        self.shared
+            .append(&mut pending, |buf| self.encode_timed(msg, buf))?;
+        drop(pending);
+        if was_empty {
+            // Later posts find the buffer non-empty and the writer already
+            // on its way: one wake-up per flush, not per frame.
+            self.shared.work.notify_one();
+        }
+        Ok(())
+    }
+
+    fn encode_timed<T: Wire>(&self, msg: &T, buf: &mut Vec<u8>) {
+        let t0 = Instant::now();
+        msg.encode(buf);
+        self.shared
+            .metrics
+            .serialize_us
+            .record(t0.elapsed().as_micros() as u64);
+    }
+}
+
+impl Drop for TcpSender {
+    /// Everything posted is written (or has failed) before the sender is gone.
+    fn drop(&mut self) {
+        if let Some(writer) = self.writer.take() {
+            // A poisoned lock means the writer has panicked and exited.
+            if let Ok(mut pending) = self.shared.pending.lock() {
+                pending.closed = true;
+            }
+            self.shared.work.notify_one();
+            let _ = writer.join();
+        }
+    }
 }
 
 impl fmt::Debug for TcpSender {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpSender")
-            .field("peer", &self.peer)
+            .field("peer", &self.shared.peer)
             .finish()
     }
 }
@@ -465,13 +698,6 @@ impl ReplyHub {
     /// Waiters currently parked (diagnostics / tests).
     pub fn pending(&self) -> usize {
         self.waiters.lock().len()
-    }
-
-    fn complete(&self, token: u64, reply: Option<WireReader>) {
-        let cb = self.waiters.lock().remove(&token);
-        if let Some(cb) = cb {
-            cb(reply);
-        }
     }
 }
 
@@ -681,8 +907,56 @@ mod tests {
 
     fn frame_bytes(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, payload).unwrap();
+        append_frame(&mut out, |buf| buf.extend_from_slice(payload)).unwrap();
         out
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A listener that hands every decoded `T` to the returned channel.
+    fn collecting_listener<T: Wire + Send + 'static>(
+        shutdown: &Shutdown,
+    ) -> (SocketAddr, crossbeam::channel::Receiver<T>) {
+        let (tx, rx) = unbounded::<T>();
+        let addr = spawn_wire_listener(
+            "test",
+            shutdown.clone(),
+            TransportMetrics::detached(),
+            move |msg| {
+                let _ = tx.send(msg);
+            },
+        )
+        .unwrap();
+        (addr, rx)
+    }
+
+    /// Reads `stream` until `n` more frames have been decoded.
+    fn read_frames(stream: &mut TcpStream, dec: &mut FrameDecoder, n: usize) -> Vec<Bytes> {
+        let mut frames = Vec::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        loop {
+            while frames.len() < n {
+                match dec.next_frame().unwrap() {
+                    Some(frame) => frames.push(frame),
+                    None => break,
+                }
+            }
+            if frames.len() == n {
+                return frames;
+            }
+            let got = stream.read(&mut chunk).unwrap();
+            assert!(
+                got > 0,
+                "connection closed {} frames short",
+                n - frames.len()
+            );
+            dec.extend(&chunk[..got]);
+        }
     }
 
     fn entry(lid: u64, body: &'static [u8]) -> Entry {
@@ -792,11 +1066,11 @@ mod tests {
         // Kill the server-side connection by poisoning it with a frame the
         // listener rejects (bad CRC): the handler drops the stream.
         {
-            let mut guard = sender.state.lock();
+            let mut conn = sender.shared.conn();
             let mut raw = frame_bytes(b"garbage");
             let last = raw.len() - 1;
             raw[last] ^= 1;
-            guard.stream.as_mut().unwrap().write_all(&raw).unwrap();
+            conn.stream.as_mut().unwrap().write_all(&raw).unwrap();
         }
 
         // Depending on timing the first resend may be buffered by the
@@ -813,6 +1087,255 @@ mod tests {
         }
         assert!(delivered, "message re-delivered after connection drop");
         assert!(metrics.reconnects.get() >= 1);
+        shutdown.signal();
+    }
+
+    /// A frame written by the build before the CRC was table-sliced
+    /// (hex-dumped from it) still verifies, and is what this build writes.
+    #[test]
+    fn golden_frame_from_the_bytewise_crc_build_still_verifies() {
+        let golden = unhex(concat!(
+            "57000000cfd28d872a00000000000000010007000000000000000200000003000000000000000600",
+            "00000000000002000000030000006b65790101010000007803000000707574001200000067",
+            "6f6c64656e207265636f726420626f647900",
+        ));
+        let entry = Entry::new(
+            LId(42),
+            Record::new(
+                RecordId::new(DatacenterId(1), TOId(7)),
+                VersionVector::from_entries(vec![TOId(3), TOId(6)]),
+                TagSet::new()
+                    .with(chariots_types::Tag::with_value("key", "x"))
+                    .with(chariots_types::Tag::key("put")),
+                Bytes::from_static(b"golden record body"),
+            ),
+        );
+        let mut dec = FrameDecoder::new();
+        dec.extend(&golden);
+        let payload = dec.next_frame().unwrap().expect("one whole frame");
+        assert_eq!(
+            chariots_types::decode_exact::<Entry>(payload),
+            Some(entry.clone())
+        );
+        assert_eq!(dec.buffered(), 0);
+        assert_eq!(frame_bytes(&encode_to_vec(&entry)), golden);
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_and_leaves_the_buffer_as_it_was() {
+        let mut buf = frame_bytes(b"kept");
+        let before = buf.clone();
+        let err = append_frame(&mut buf, |b| b.resize(b.len() + MAX_FRAME_BYTES + 1, 0));
+        assert_eq!(err, Err(FrameError::TooLarge(MAX_FRAME_BYTES + 1)));
+        assert_eq!(buf, before);
+    }
+
+    #[test]
+    fn concurrent_posts_arrive_in_each_threads_order() {
+        const THREADS: u64 = 4;
+        const EACH: u64 = 5_000;
+        let shutdown = Shutdown::new();
+        let (addr, rx) = collecting_listener::<(u64, u64)>(&shutdown);
+        let sender = TcpSender::new(addr, TransportMetrics::detached());
+        let start = std::sync::Barrier::new(THREADS as usize);
+        thread::scope(|s| {
+            for id in 0..THREADS {
+                let (sender, start) = (&sender, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for seq in 0..EACH {
+                        sender.post(&(id, seq)).unwrap();
+                    }
+                });
+            }
+        });
+        let mut next = [0u64; THREADS as usize];
+        for _ in 0..THREADS * EACH {
+            let (id, seq) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(
+                seq, next[id as usize],
+                "thread {id}: lost, duplicated or reordered"
+            );
+            next[id as usize] += 1;
+        }
+        assert_eq!(next, [EACH; THREADS as usize]);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a frame came twice"
+        );
+        shutdown.signal();
+    }
+
+    #[test]
+    fn a_burst_of_posts_leaves_in_fewer_writes_than_frames() {
+        const FRAMES: u64 = 1_000;
+        let shutdown = Shutdown::new();
+        let (addr, rx) = collecting_listener::<u64>(&shutdown);
+        let metrics = TransportMetrics::detached();
+        let sender = TcpSender::new(addr, metrics.clone());
+        {
+            // No flush can start while the connection is held, so the whole
+            // burst (16 KB, well under the cap) is pending when it ends.
+            let _held = sender.shared.conn();
+            for i in 0..FRAMES {
+                sender.post(&i).unwrap();
+            }
+            assert_eq!(sender.pending_bytes() as u64, FRAMES * (8 + 8));
+        }
+        for i in 0..FRAMES {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), i);
+        }
+        assert_eq!(metrics.frames.get(), FRAMES);
+        assert_eq!(metrics.bytes_out.get(), FRAMES * (8 + 8));
+        let writes = metrics.writes.get();
+        assert!(
+            (1..FRAMES).contains(&writes),
+            "{writes} writes for {FRAMES} frames"
+        );
+        shutdown.signal();
+    }
+
+    #[test]
+    fn post_blocks_at_the_cap_until_the_peer_reads() {
+        const FRAME: usize = 64 * 1024;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sender = TcpSender::new(listener.local_addr().unwrap(), TransportMetrics::detached());
+        let posted = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    let i = posted.load(Ordering::SeqCst);
+                    sender.post(&Bytes::from(vec![i as u8; FRAME])).unwrap();
+                    posted.store(i + 1, Ordering::SeqCst);
+                }
+            });
+            // The peer accepts and does not read. The kernel's buffers fill,
+            // the writer thread blocks in `write`, the pending buffer fills
+            // to the cap, and the poster stops — however much the kernel took.
+            let (mut conn, _) = listener.accept().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut seen = u64::MAX;
+            loop {
+                assert!(Instant::now() < deadline, "the poster never blocked");
+                thread::sleep(Duration::from_millis(100));
+                let pending = sender.pending_bytes();
+                assert!(
+                    pending <= PENDING_CAP_BYTES + FRAME + 12,
+                    "{pending} B pending"
+                );
+                let now = posted.load(Ordering::SeqCst);
+                if now == seen && pending >= PENDING_CAP_BYTES {
+                    break;
+                }
+                seen = now;
+            }
+            // Draining the socket lets the blocked `post`, frame `seen`, go
+            // through; the poster then sees `stop` and the scope can end.
+            stop.store(true, Ordering::SeqCst);
+            let mut dec = FrameDecoder::new();
+            for i in 0..=seen {
+                let frame = read_frames(&mut conn, &mut dec, 1).remove(0);
+                let body: Bytes = chariots_types::decode_exact(frame).unwrap();
+                assert_eq!(body.len(), FRAME);
+                assert!(body.iter().all(|&b| b == i as u8), "frame {i} corrupt");
+            }
+        });
+    }
+
+    #[test]
+    fn dropping_the_sender_delivers_everything_posted() {
+        let shutdown = Shutdown::new();
+        let (addr, rx) = collecting_listener::<u64>(&shutdown);
+        let sender = TcpSender::new(addr, TransportMetrics::detached());
+        for i in 0..500u64 {
+            sender.post(&i).unwrap();
+        }
+        drop(sender);
+        for i in 0..500u64 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), i);
+        }
+        shutdown.signal();
+    }
+
+    #[test]
+    fn post_after_a_listener_side_drop_goes_over_a_fresh_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let metrics = TransportMetrics::detached();
+        let sender = TcpSender::new(listener.local_addr().unwrap(), metrics.clone());
+        let as_u64 = |frame: Bytes| chariots_types::decode_exact::<u64>(frame).unwrap();
+
+        sender.post(&1u64).unwrap();
+        let (mut first, _) = listener.accept().unwrap();
+        let mut dec = FrameDecoder::new();
+        assert_eq!(as_u64(read_frames(&mut first, &mut dec, 1).remove(0)), 1);
+
+        // The listener drops the connection with a frame unread, which
+        // resets it. That frame is lost: the kernel had taken it.
+        sender.post(&2u64).unwrap();
+        let mut probe = [0u8; 1];
+        first.peek(&mut probe).unwrap();
+        drop(first);
+        // Block until the reset has reached the sender's socket.
+        let sender_side = sender
+            .shared
+            .conn()
+            .stream
+            .as_ref()
+            .unwrap()
+            .try_clone()
+            .unwrap();
+        assert!(sender_side.peek(&mut probe).is_err());
+
+        sender.post(&3u64).unwrap();
+        let (mut second, _) = listener.accept().unwrap();
+        let mut dec = FrameDecoder::new();
+        assert_eq!(as_u64(read_frames(&mut second, &mut dec, 1).remove(0)), 3);
+        assert_eq!(metrics.reconnects.get(), 1);
+    }
+
+    #[test]
+    fn a_failed_background_flush_is_reported_by_the_next_post() {
+        // Nobody listens at this address any more.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let sender = TcpSender::new(addr, TransportMetrics::detached());
+        sender.post(&1u64).unwrap();
+        // The writer thread's flush fails to connect and leaves its error.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while sender.shared.pending().failed.is_none() {
+            assert!(Instant::now() < deadline, "the flush never failed");
+            thread::yield_now();
+        }
+        assert!(matches!(
+            sender.post(&2u64),
+            Err(ChariotsError::Transport(_))
+        ));
+        assert_eq!(sender.pending_bytes(), 0, "the refused post was not queued");
+        // Reported once; the sender is usable again.
+        sender.post(&3u64).unwrap();
+    }
+
+    #[test]
+    fn send_arrives_after_the_posts_before_it() {
+        let shutdown = Shutdown::new();
+        let (addr, rx) = collecting_listener::<u64>(&shutdown);
+        let sender = TcpSender::new(addr, TransportMetrics::detached());
+        let mut n = 0u64;
+        for _round in 0..200 {
+            for _ in 0..5 {
+                sender.post(&n).unwrap();
+                n += 1;
+            }
+            sender.send(&n).unwrap();
+            n += 1;
+            assert_eq!(sender.pending_bytes(), 0, "a send leaves nothing behind");
+        }
+        for i in 0..n {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), i);
+        }
         shutdown.signal();
     }
 

@@ -167,6 +167,15 @@ mod proptests {
             }
         }
 
+        /// The table-sliced CRC-32 is the bitwise IEEE definition on
+        /// buffers of any content and length.
+        #[test]
+        fn crc32_agrees_with_the_bitwise_definition(
+            data in proptest::collection::vec(any::<u8>(), 0..=64 * 1024),
+        ) {
+            prop_assert_eq!(crc32(&data), wire::crc32_bitwise(&data));
+        }
+
         /// Decoding arbitrary garbage never panics; it either produces a
         /// value or rejects cleanly.
         #[test]

@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+# The one gate that needs no registry: the four library crates built from
+# their own sources against the stand-ins, and a smoke run of every
+# benchmark workload with its full-log audit.
+echo "==> offline manifest (benchmark smoke)"
+cargo test --offline --manifest-path crates/benchmark/offline/Cargo.toml
+
 echo "==> batching smoke gate"
 cargo run --release -p chariots-bench --bin harness -- \
   --smoke --metrics-out target/bench-artifacts/batching-metrics.json batching
