@@ -3,9 +3,9 @@
 //!
 //! Launches a small multi-datacenter cluster over a simulated WAN, drives
 //! paced appends into DC 0, and renders the telemetry collector's live
-//! view in place — per-stage throughput, queue depths and other health
-//! gauges, rolling latency quantiles, and the newest journal events —
-//! until `--duration` elapses.
+//! view in place — per-stage throughput, token passes and sender rounds
+//! per second, queue depths and other health gauges, rolling latency
+//! quantiles, and the newest journal events — until `--duration` elapses.
 //!
 //! ```sh
 //! cargo run --release -p chariots-bench --bin chariots-top -- \
@@ -236,6 +236,21 @@ fn render(live: &LiveView) {
         .collect();
     rates.sort_by(|a, b| a.0.cmp(&b.0));
     for (key, rate) in rates.iter().take(24) {
+        println!("  {key:<36} {rate:>10.0}");
+    }
+
+    // What moves only for work: an idle ring passes no token, and a quiet
+    // sender runs one round per heartbeat.
+    println!("\nwake-ups (rolling, /s: token passes per queue, rounds per sender)");
+    let mut wakeups: Vec<&(String, f64)> = live
+        .rates
+        .iter()
+        .filter(|(k, _)| {
+            k.ends_with(".token_passes") || (k.contains(".sender") && k.ends_with(".rounds"))
+        })
+        .collect();
+    wakeups.sort_by(|a, b| a.0.cmp(&b.0));
+    for (key, rate) in wakeups.iter().take(16) {
         println!("  {key:<36} {rate:>10.0}");
     }
 

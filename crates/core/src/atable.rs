@@ -70,9 +70,7 @@ impl ATable {
 
     /// Replaces row `i` with the pointwise max of itself and `row` —
     /// how a datacenter incorporates a peer's gossiped applied cut.
-    /// Returns whether any cell rose (stale gossip merges to `false`), so
-    /// callers can propagate knowledge changes — e.g. wake the senders —
-    /// without a feedback storm on redundant deliveries.
+    /// Returns whether any cell rose (stale gossip merges to `false`).
     pub fn merge_row(&mut self, i: DatacenterId, row: &VersionVector) -> bool {
         let mut rose = false;
         for j in 0..self.n {

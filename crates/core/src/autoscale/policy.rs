@@ -246,7 +246,9 @@ mod tests {
     fn cooldown_blocks_back_to_back_actions() {
         let mut g = StageGovernor::new(policy());
         let t0 = Instant::now();
-        let hot = loaded(300.0);
+        // 400 is over the threshold at 3 machines too (133/machine); 300
+        // there would be exactly 100, which does not press.
+        let hot = loaded(400.0);
         for _ in 0..3 {
             g.decide(t0, &hot, 2);
         }

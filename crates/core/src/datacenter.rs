@@ -18,8 +18,8 @@ use chariots_simnet::{
     Shutdown, StationConfig, TransportMetrics,
 };
 use chariots_types::{ChariotsConfig, ChariotsError, DatacenterId, LId, Result, TransportMode};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use crossbeam::channel::Receiver;
+use parking_lot::RwLock;
 
 use chariots_flstore::FLStore;
 
@@ -28,7 +28,7 @@ use crate::message::PropagationMsg;
 use crate::routing_plan::RoutingPlan;
 use crate::stages::batcher::{spawn_batcher, BatcherHandle};
 use crate::stages::filter::{spawn_filter, FilterCore, FilterHandle, FilterIngress, FilterRouting};
-use crate::stages::queue::{spawn_queue, QueueHandle, QueueIngress, QueueNodeConfig};
+use crate::stages::queue::{spawn_queue, QueueHandle, QueueIngress, QueueNodeConfig, QueueRing};
 use crate::stages::receiver::spawn_receiver;
 use crate::stages::sender::{spawn_sender, SenderHealth, SenderMetrics, SenderNode};
 use crate::stages::{StageHealth, STAGE_NAMES};
@@ -92,6 +92,7 @@ pub struct ChariotsDc {
     filters: Vec<FilterHandle>,
     filter_ingresses: Arc<RwLock<Vec<FilterIngress>>>,
     queues: Vec<QueueHandle>,
+    queue_ring: QueueRing,
     queue_ingresses: Arc<RwLock<Vec<QueueIngress>>>,
     plan: Arc<RwLock<RoutingPlan>>,
     stations: StageStations,
@@ -156,10 +157,10 @@ impl ChariotsDc {
         let atable = Arc::new(RwLock::new(ATable::new(cfg.num_datacenters)));
 
         // The senders' wakeup: queues signal it when new local records are
-        // routed, receivers when gossip raises the ATable. With delta
-        // shipping off (the bench baseline, matching the original design),
-        // producers get a *detached* signal so senders stay purely
-        // interval-driven.
+        // routed, and nothing else does — a peer's gossip changes nothing a
+        // round would ship. With delta shipping off (the bench baseline,
+        // matching the original design), the queues get a *detached* signal
+        // so senders stay purely interval-driven.
         let sender_wakeup = Notify::new();
         let producer_wakeup = if cfg.sender_delta_shipping {
             sender_wakeup.clone()
@@ -167,13 +168,11 @@ impl ChariotsDc {
             Notify::new()
         };
 
-        // Queues: pre-create the token ring, then spawn.
+        // Queues: each joins the token ring as it is spawned.
         let n_q = cfg.stages.queues;
-        let token_channels: Vec<(Sender<Token>, Receiver<Token>)> =
-            (0..n_q).map(|_| unbounded()).collect();
+        let queue_ring = QueueRing::new();
         let mut queues = Vec::with_capacity(n_q);
         for i in 0..n_q {
-            let next = Arc::new(Mutex::new(token_channels[(i + 1) % n_q].0.clone()));
             let station = Arc::new(ServiceStation::new(
                 format!("{dc}-queue-{i}"),
                 stations.queue.clone(),
@@ -185,19 +184,17 @@ impl ChariotsDc {
                     controller: controller.clone(),
                     maintainers: Arc::clone(&maintainers),
                     atable: Arc::clone(&atable),
-                    next_queue: next,
-                    idle_pause: std::time::Duration::from_micros(200),
+                    ring: queue_ring.clone(),
                     tracer: tracer.stage("queue"),
                     store_tracer: tracer.stage("store"),
                     sender_wakeup: producer_wakeup.clone(),
                     health: StageHealth::registered(&registry, &prefix, &format!("queue{i}")),
                 },
-                token_channels[i].clone(),
                 station,
                 shutdown.clone(),
                 format!("{dc}-queue-{i}"),
             );
-            registry.register_counter(format!("{prefix}.queue{i}.in"), handle.processed_counter());
+            register_queue_counters(&registry, &prefix, i, &handle);
             queues.push(handle);
             queue_threads.push(thread);
         }
@@ -308,7 +305,6 @@ impl ChariotsDc {
                     wan_rx.clone(),
                     Arc::clone(&batchers),
                     Arc::clone(&atable),
-                    producer_wakeup.clone(),
                     station,
                     shutdown.clone(),
                     format!("{dc}-receiver-{i}"),
@@ -369,6 +365,7 @@ impl ChariotsDc {
             filters,
             filter_ingresses,
             queues,
+            queue_ring,
             queue_ingresses,
             plan,
             stations,
@@ -482,16 +479,13 @@ impl ChariotsDc {
         Ok(())
     }
 
-    /// Live elasticity (§6.3): adds a queue to the token ring. The new
-    /// queue is spliced between the last queue and queue 0, and registered
-    /// with the filters — which needs no coordination "because a queue can
-    /// receive any record".
+    /// Live elasticity (§6.3): adds a queue to the token ring, after the
+    /// last one, and registers it with the filters — which needs no
+    /// coordination "because a queue can receive any record".
     pub fn add_queue(&mut self) -> usize {
         let idx = self.spawned_queues;
         self.spawned_queues += 1;
-        let (token_tx, token_rx) = unbounded::<Token>();
-        // The new queue forwards to queue 0 (closing the ring).
-        let next = Arc::new(Mutex::new(self.queues[0].token_sender()));
+        let prefix = format!("dc{}", self.dc.0);
         let station = Arc::new(ServiceStation::new(
             format!("{}-queue-{idx}", self.dc),
             self.stations.queue.clone(),
@@ -503,32 +497,17 @@ impl ChariotsDc {
                 controller: self.flstore.controller().clone(),
                 maintainers: Arc::clone(&self.maintainer_registry),
                 atable: Arc::clone(&self.atable),
-                next_queue: next,
-                idle_pause: std::time::Duration::from_micros(200),
+                ring: self.queue_ring.clone(),
                 tracer: self.tracer.stage("queue"),
                 store_tracer: self.tracer.stage("store"),
                 sender_wakeup: self.producer_wakeup.clone(),
-                health: StageHealth::registered(
-                    &self.registry,
-                    &format!("dc{}", self.dc.0),
-                    &format!("queue{idx}"),
-                ),
+                health: StageHealth::registered(&self.registry, &prefix, &format!("queue{idx}")),
             },
-            (token_tx, token_rx),
             station,
             self.shutdown.clone(),
             format!("{}-queue-{idx}", self.dc),
         );
-        self.registry.register_counter(
-            format!("dc{}.queue{idx}.in", self.dc.0),
-            handle.processed_counter(),
-        );
-        // Splice into the ring: the previous last queue now forwards to
-        // the new one.
-        self.queues
-            .last()
-            .expect("at least one queue")
-            .set_next(handle.token_sender());
+        register_queue_counters(&self.registry, &prefix, idx, &handle);
         let ingress = self.wire_elastic(
             handle.ingress(),
             &format!("queue{idx}"),
@@ -546,14 +525,13 @@ impl ChariotsDc {
     /// 1. Pop the victim's ingress under the shared list's write lock —
     ///    filters hold the read lock for the duration of each send, so
     ///    after this no new record reaches the victim.
-    /// 2. Signal the drain; the victim evicts parked records onto the
-    ///    token and confirms — while holding the token — that its channel,
-    ///    staged set, and parked set are empty.
-    /// 3. Unsplice the ring: the predecessor forwards straight to queue 0
-    ///    (the victim, being last, already forwards there itself, so the
-    ///    ring stays closed throughout).
-    /// 4. Stop the node; its loop forwards any straggler token before
-    ///    exiting, preserving the deployment's single token.
+    /// 2. Signal the drain, which brings the token to the victim; on its
+    ///    visit the victim evicts parked records onto it and confirms —
+    ///    while holding it — that its inbox, staged set, and parked set are
+    ///    empty.
+    /// 3. Take the victim out of the ring and stop it; its loop forwards
+    ///    the token first if it rests there, preserving the deployment's
+    ///    single token.
     ///
     /// If the drain misses `drain_timeout`, the retire is cancelled, the
     /// ingress restored, and `Unavailable` returned — the ring is left
@@ -580,9 +558,7 @@ impl ChariotsDc {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Unsplice (step 3), then stop and join (step 4).
-        let n = self.queues.len();
-        self.queues[n - 2].set_next(self.queues[0].token_sender());
+        // Out of the ring and stopped (step 3), then joined.
         victim.finish_retire();
         self.queues.pop();
         if let Some(t) = self.queue_threads.pop() {
@@ -835,6 +811,16 @@ impl Drop for ChariotsDc {
     fn drop(&mut self) {
         self.join_all();
     }
+}
+
+/// Registers a queue's `{prefix}.queue{i}.in` (records assigned) and
+/// `{prefix}.queue{i}.token_passes` counters.
+fn register_queue_counters(registry: &MetricsRegistry, prefix: &str, i: usize, q: &QueueHandle) {
+    registry.register_counter(format!("{prefix}.queue{i}.in"), q.processed_counter());
+    registry.register_counter(
+        format!("{prefix}.queue{i}.token_passes"),
+        q.token_passes_counter(),
+    );
 }
 
 /// TCP-wraps a stage handle when the configured transport is

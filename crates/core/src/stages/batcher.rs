@@ -243,6 +243,16 @@ fn batcher_loop(
     health: &StageHealth,
 ) {
     let mut last_flush = Instant::now();
+    // Serves and buffers one record, sending on the buffer it fills.
+    let take = |core: &mut BatcherCore, record: Incoming| {
+        if station.serve(1).is_err() {
+            return; // crashed: the record is lost
+        }
+        processed.add(1);
+        if let Some((idx, batch)) = core.ingest(record) {
+            send_to_filter(filters, idx, batch, tracer);
+        }
+    };
     loop {
         if shutdown.is_signaled() {
             return;
@@ -253,13 +263,7 @@ fn batcher_loop(
             // flush every buffer, zero the gauges, and exit — nothing this
             // node ever admitted is lost.
             while let Ok(record) = rx.try_recv() {
-                if station.serve(1).is_err() {
-                    continue; // crashed: the record is lost
-                }
-                processed.add(1);
-                if let Some((idx, batch)) = core.ingest(record) {
-                    send_to_filter(filters, idx, batch, tracer);
-                }
+                take(&mut core, record);
             }
             for (idx, batch) in core.flush_all() {
                 send_to_filter(filters, idx, batch, tracer);
@@ -272,12 +276,19 @@ fn batcher_loop(
         health.occupancy.set(core.buffered() as i64);
         match rx.recv_timeout(flush_interval) {
             Ok(record) => {
-                if station.serve(1).is_err() {
-                    continue; // crashed: the record is lost
-                }
-                processed.add(1);
-                if let Some((idx, batch)) = core.ingest(record) {
-                    send_to_filter(filters, idx, batch, tracer);
+                take(&mut core, record);
+                // Paced clients send in bursts, and the record that finds
+                // the timer expired is as a rule the first of one: take
+                // what has already arrived behind it, so the flush carries
+                // the burst and not that one record. No further than half
+                // a threshold's worth: under a backlog the channel never
+                // runs empty, and a timer looked at once per threshold
+                // would always find the buffer that fills just flushed —
+                // the timed flush, and the batches and wake-ups downstream
+                // of it, must stay one per interval there as well.
+                for _ in 1..core.threshold / 2 {
+                    let Ok(record) = rx.try_recv() else { break };
+                    take(&mut core, record);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}

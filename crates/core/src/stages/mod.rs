@@ -49,6 +49,6 @@ impl StageHealth {
 
 pub use batcher::{spawn_batcher, BatcherCore, BatcherHandle};
 pub use filter::{spawn_filter, FilterCore, FilterHandle, FilterIngress, FilterRouting};
-pub use queue::{spawn_queue, QueueCore, QueueHandle, QueueIngress, QueueNodeConfig};
+pub use queue::{spawn_queue, QueueCore, QueueHandle, QueueIngress, QueueNodeConfig, QueueRing};
 pub use receiver::spawn_receiver;
 pub use sender::{spawn_sender, SenderHealth, SenderMetrics, SenderNode};

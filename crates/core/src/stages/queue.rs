@@ -9,20 +9,23 @@
 //!
 //! Adding a queue at runtime (§6.3) "involves two tasks: making the new
 //! queue part of the token exchange loop and propagating the information
-//! of its addition to filters". The first is the swappable `next_queue`
-//! slot below; the second needs no coordination "because a queue can
-//! receive any record" — filters just see a longer ingress list.
+//! of its addition to filters". The first is joining the [`QueueRing`]
+//! below; the second needs no coordination "because a queue can receive
+//! any record" — filters just see a longer ingress list.
+//!
+//! Nothing in the stage runs on a timer. The token rests with the queue
+//! that used it last and moves only when another queue asks for it (see
+//! [`QueueRing`]); a queue's thread sleeps on its inbox until a batch, the
+//! token or such a request reaches it.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chariots_simnet::{Counter, Notify, ServiceStation, Shutdown, StageTracer};
+use chariots_simnet::{Counter, Gauge, Notify, ServiceStation, Shutdown, StageTracer};
 use chariots_types::{DatacenterId, Entry, MaintainerId, Record, RecordId};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use chariots_flstore::{Controller, ReplicaGroupHandle};
 
@@ -186,16 +189,169 @@ pub fn route_entries(
     }
 }
 
+/// How long a queue with nothing to do sleeps before it looks at the
+/// deployment's shutdown flag and its station again. Everything else —
+/// batches, the token, requests for the token, retire steps — wakes it.
+const IDLE_TICK: Duration = Duration::from_millis(20);
+
+/// What reaches a queue from outside its own thread.
+#[derive(Default)]
+struct InboxState {
+    /// Batches sent here and not yet staged.
+    batches: Vec<Vec<Incoming>>,
+    /// The token, from the moment a neighbour delivers it until the loop
+    /// picks it up.
+    token: Option<Token>,
+    /// The loop has picked the token up and not passed it on.
+    holding: bool,
+    /// Somebody wants the token to come by: a queue that has staged records
+    /// without it, or a retire step that needs a visit. Set on every queue
+    /// the token may have to cross, cleared only by passing the token on.
+    nudged: bool,
+    /// Drain-and-retire: the actuator has closed this queue's ingress.
+    retiring: bool,
+    /// Judged by the loop with the token in hand: inbox, staged set and
+    /// parked set were all empty — nothing is stranded here anymore.
+    drained: bool,
+    /// The queue has left the ring: forward the token if it is here, exit.
+    stopped: bool,
+}
+
+/// One queue's mailbox. Producers (`QueueIngress::send`, the TCP listener),
+/// the ring neighbour and the handle all post here; the queue's loop is
+/// the only reader and sleeps on `ready` when there is nothing for it.
+struct Inbox {
+    state: StdMutex<InboxState>,
+    ready: Condvar,
+    /// `queue.depth`: batches waiting in `state.batches`.
+    depth: Gauge,
+}
+
+impl Inbox {
+    fn state(&self) -> MutexGuard<'_, InboxState> {
+        self.state.lock().expect("queue inbox lock")
+    }
+
+    fn push(&self, batch: Vec<Incoming>) {
+        let mut s = self.state();
+        s.batches.push(batch);
+        self.depth.set(s.batches.len() as i64);
+        drop(s);
+        self.ready.notify_one();
+    }
+
+    fn deliver(&self, token: Token) {
+        let mut s = self.state();
+        debug_assert!(s.token.is_none() && !s.holding, "two tokens in one ring");
+        s.token = Some(token);
+        drop(s);
+        self.ready.notify_one();
+    }
+
+    /// Asks this queue to pass the token on once it is done with it, and
+    /// says whether the token is here. Only the queue that has the token
+    /// needs to wake for that.
+    fn nudge(&self) -> bool {
+        let mut s = self.state();
+        s.nudged = true;
+        let wake = s.holding;
+        let here = s.holding || s.token.is_some();
+        drop(s);
+        if wake {
+            self.ready.notify_one();
+        }
+        here
+    }
+
+    /// Sleeps until there is something to do or `IDLE_TICK` has passed, and
+    /// takes what arrived: the batches, the token if it came, and whether
+    /// the queue has been told to stop.
+    fn wait(&self) -> (Vec<Vec<Incoming>>, Option<Token>, bool) {
+        let (mut s, _) = self
+            .ready
+            .wait_timeout_while(self.state(), IDLE_TICK, |s| {
+                s.batches.is_empty() && s.token.is_none() && !(s.holding && s.nudged) && !s.stopped
+            })
+            .expect("queue inbox lock");
+        let token = s.token.take();
+        s.holding |= token.is_some();
+        self.depth.set(0);
+        (std::mem::take(&mut s.batches), token, s.stopped)
+    }
+}
+
+/// A datacenter's token ring: the inboxes of its queues, in the order the
+/// token visits them. A queue joins at the end when it is spawned and
+/// leaves in [`QueueHandle::finish_retire`].
+///
+/// The token rests with the queue that used it last. A queue that stages
+/// records without it [asks](Self::ask) for it, which marks the queues the
+/// token has to cross on its way; a marked queue passes the token on when
+/// it is done with it and loses its mark by doing so. So between the token
+/// and the asker every queue either still has its mark or has already
+/// passed the token on: the token cannot come to rest before it reaches
+/// the asker, and with nobody asking it does not move.
+#[derive(Clone, Default)]
+pub struct QueueRing {
+    inboxes: Arc<RwLock<Vec<Arc<Inbox>>>>,
+}
+
+impl QueueRing {
+    /// An empty ring.
+    pub fn new() -> Self {
+        QueueRing::default()
+    }
+
+    /// Brings the token to `asker`: marks its predecessors, nearest first,
+    /// back to the one the token is at. The token only moves forward, so
+    /// when the walk meets it every queue it has yet to cross is marked;
+    /// if it slips past the walk (it is in no inbox while it changes
+    /// hands) every queue ends up marked, and a mark the token never
+    /// needed costs one needless pass later.
+    fn ask(&self, asker: &Arc<Inbox>) {
+        if asker.state().token.is_some() {
+            return; // delivered while the asker was staging
+        }
+        let ring = self.inboxes.read();
+        let Some(at) = ring.iter().position(|inbox| Arc::ptr_eq(inbox, asker)) else {
+            return;
+        };
+        let before = ring[..at].iter().rev();
+        let behind = ring[at + 1..].iter().rev();
+        for inbox in before.chain(behind) {
+            if inbox.nudge() {
+                break;
+            }
+        }
+    }
+
+    /// Hands the token to the queue after `from` — the first queue, if
+    /// `from` is the last or has already left the ring.
+    fn pass(&self, from: &Arc<Inbox>, token: Token) {
+        // Delivered under the read lock: once `finish_retire` has taken a
+        // queue out under the write lock, no token is on its way to it.
+        let ring = self.inboxes.read();
+        let after = ring
+            .iter()
+            .position(|inbox| Arc::ptr_eq(inbox, from))
+            .map_or(0, |i| i + 1);
+        // With no queue left there is nobody to hold a token.
+        if let Some(next) = ring.get(after).or(ring.first()) {
+            next.deliver(token);
+        }
+    }
+}
+
 /// Producer-side ingress to a queue: sending notes the arrival at the
 /// queue's station so backlog drives its overload model.
 #[derive(Clone)]
 pub struct QueueIngress {
-    tx: Sender<Vec<Incoming>>,
+    inbox: Arc<Inbox>,
     station: Arc<ServiceStation>,
     tracer: StageTracer,
     /// When set, `send` ships the batch over TCP to this queue's loopback
-    /// listener; the listener feeds `tx` raw, so station accounting stays
-    /// on the sending side either way.
+    /// listener; the listener posts it to the inbox raw, so station
+    /// accounting stays on the sending side either way.
     wire: Option<Arc<chariots_simnet::TcpSender>>,
 }
 
@@ -209,12 +365,15 @@ impl QueueIngress {
         }
         match &self.wire {
             Some(wire) => wire.send(&batch).is_ok(),
-            None => self.tx.send(batch).is_ok(),
+            None => {
+                self.inbox.push(batch);
+                true
+            }
         }
     }
 
     /// Exposes this queue over TCP: a loopback listener feeds the same
-    /// channel, and the returned ingress clone sends through a pooled
+    /// inbox, and the returned ingress clone sends through a pooled
     /// socket (one serialization per batch).
     pub fn via_tcp(
         &self,
@@ -222,14 +381,12 @@ impl QueueIngress {
         shutdown: Shutdown,
         metrics: chariots_simnet::TransportMetrics,
     ) -> std::io::Result<QueueIngress> {
-        let tx = self.tx.clone();
+        let inbox = Arc::clone(&self.inbox);
         let addr = chariots_simnet::spawn_wire_listener(
             name,
             shutdown,
             metrics.clone(),
-            move |batch: Vec<Incoming>| {
-                let _ = tx.send(batch);
-            },
+            move |batch: Vec<Incoming>| inbox.push(batch),
         )?;
         let mut wired = self.clone();
         wired.wire = Some(Arc::new(chariots_simnet::TcpSender::new(addr, metrics)));
@@ -242,48 +399,22 @@ impl QueueIngress {
     }
 }
 
-/// Drain-and-retire coordination between a queue's handle and its loop.
-#[derive(Clone)]
-struct RetireState {
-    /// Set by the actuator: stop accepting that new work will arrive and
-    /// start evicting parked records onto the token.
-    retiring: Arc<AtomicBool>,
-    /// Set by the loop while holding the token: channel, staged set, and
-    /// parked set are all empty — nothing is stranded here anymore.
-    drained: Arc<AtomicBool>,
-    /// Per-node stop (distinct from deployment shutdown): signalled once
-    /// the ring is unspliced; the loop forwards any straggler tokens and
-    /// exits.
-    stop: Shutdown,
-}
-
-impl RetireState {
-    fn new() -> Self {
-        RetireState {
-            retiring: Arc::new(AtomicBool::new(false)),
-            drained: Arc::new(AtomicBool::new(false)),
-            stop: Shutdown::new(),
-        }
-    }
-}
-
 /// Handle to a queue node.
 #[derive(Clone)]
 pub struct QueueHandle {
-    records_tx: Sender<Vec<Incoming>>,
-    token_tx: Sender<Token>,
-    next_queue: Arc<Mutex<Sender<Token>>>,
+    inbox: Arc<Inbox>,
+    ring: QueueRing,
     station: Arc<ServiceStation>,
     processed: Counter,
+    token_passes: Counter,
     tracer: StageTracer,
-    retire: RetireState,
 }
 
 impl QueueHandle {
     /// A producer-side ingress (notes arrivals at this queue's station).
     pub fn ingress(&self) -> QueueIngress {
         QueueIngress {
-            tx: self.records_tx.clone(),
+            inbox: Arc::clone(&self.inbox),
             station: Arc::clone(&self.station),
             tracer: self.tracer.clone(),
             wire: None,
@@ -292,25 +423,17 @@ impl QueueHandle {
 
     /// Injects the token (deployment wiring: exactly one token exists).
     pub fn inject_token(&self, token: Token) {
-        let _ = self.token_tx.send(token);
-    }
-
-    /// The sender other queues use to pass the token to this queue.
-    pub fn token_sender(&self) -> Sender<Token> {
-        self.token_tx.clone()
-    }
-
-    /// Re-points this queue's token forwarding — the ring-insertion step
-    /// of adding a queue (§6.3: "informing one of the queues that it
-    /// should forward the token to the new queue rather than the original
-    /// neighbor").
-    pub fn set_next(&self, next: Sender<Token>) {
-        *self.next_queue.lock() = next;
+        self.inbox.deliver(token);
     }
 
     /// Records assigned by this queue (bench instrumentation).
     pub fn processed_counter(&self) -> Counter {
         self.processed.clone()
+    }
+
+    /// Times this queue has passed the token on. An idle ring passes none.
+    pub fn token_passes_counter(&self) -> Counter {
+        self.token_passes.clone()
     }
 
     /// The machine's capacity model.
@@ -320,30 +443,41 @@ impl QueueHandle {
 
     /// Starts drain-and-retire. The caller must already have removed this
     /// queue's ingress from the shared list (the admission barrier) — from
-    /// here on the loop evicts parked records onto the token and reports
-    /// [`is_drained`](Self::is_drained) once nothing is left on this node.
+    /// here on each visit of the token evicts parked records onto it and
+    /// reports [`is_drained`](Self::is_drained) once nothing is left on
+    /// this node. Brings the token here so that the first visit is now.
     pub fn begin_retire(&self) {
-        self.retire.retiring.store(true, Ordering::SeqCst);
+        self.inbox.state().retiring = true;
+        if !self.inbox.nudge() {
+            self.ring.ask(&self.inbox);
+        }
     }
 
-    /// Aborts an in-progress retire (drain deadline missed). The loop
-    /// clears its drained flag on the next token visit and the node keeps
-    /// serving.
+    /// Aborts an in-progress retire (drain deadline missed): the verdict
+    /// is withdrawn and the node keeps serving.
     pub fn cancel_retire(&self) {
-        self.retire.retiring.store(false, Ordering::SeqCst);
+        let mut s = self.inbox.state();
+        s.retiring = false;
+        s.drained = false;
     }
 
     /// Whether the node has confirmed — while holding the token — that its
-    /// channel, staged set, and parked set are all empty.
+    /// inbox, staged set, and parked set are all empty.
     pub fn is_drained(&self) -> bool {
-        self.retire.drained.load(Ordering::SeqCst)
+        self.inbox.state().drained
     }
 
-    /// Final retire step, after the ring has been unspliced around this
-    /// node: the loop forwards any straggler tokens and exits, so the
-    /// caller can join the thread.
+    /// Final retire step: takes this queue out of the ring (its
+    /// predecessor now passes to its successor) and stops its loop, which
+    /// forwards the token first if it is resting here, so the caller can
+    /// join the thread.
     pub fn finish_retire(&self) {
-        self.retire.stop.signal();
+        self.ring
+            .inboxes
+            .write()
+            .retain(|inbox| !Arc::ptr_eq(inbox, &self.inbox));
+        self.inbox.state().stopped = true;
+        self.inbox.ready.notify_one();
     }
 }
 
@@ -358,12 +492,13 @@ pub struct QueueNodeConfig {
     /// Maintainer replica-group handles for persistence (shared registry:
     /// FLStore expansion appends to it live).
     pub maintainers: Arc<RwLock<Vec<ReplicaGroupHandle>>>,
-    /// Shared ATable: row `dc` is refreshed from the token's applied cut.
+    /// Shared ATable: row `dc` is refreshed from the token's applied cut
+    /// after each assignment.
     pub atable: Arc<RwLock<ATable>>,
-    /// Where to pass the token next (swappable for ring insertion).
-    pub next_queue: Arc<Mutex<Sender<Token>>>,
-    /// Idle pause before passing on a token that found no work.
-    pub idle_pause: Duration,
+    /// The datacenter's token ring; the new queue joins it at the end
+    /// (§6.3: its predecessor forwards "to the new queue rather than the
+    /// original neighbor").
+    pub ring: QueueRing,
     /// Queue-stage tracer: entered at ingress, exited when an entry is
     /// assigned and routed to a maintainer.
     pub tracer: StageTracer,
@@ -374,171 +509,144 @@ pub struct QueueNodeConfig {
     /// maintainers — the "new local records exist" edge that wakes the
     /// senders for an immediate propagation round.
     pub sender_wakeup: Notify,
-    /// Health gauges: inbound channel depth and records held (staged for
-    /// the next token visit plus parked with unmet dependencies).
+    /// Health gauges: batches waiting in the inbox and records held
+    /// (staged for the token plus parked with unmet dependencies).
     pub health: StageHealth,
 }
 
-/// Spawns a queue node. The caller supplies the token channel pair so the
-/// round-robin ring can be wired before any queue runs: queue *i* receives
-/// on its own channel and `cfg.next_queue` points at queue *i+1*'s sender.
+/// Spawns a queue node as the last member of `cfg.ring`.
 pub fn spawn_queue(
     cfg: QueueNodeConfig,
-    token_channel: (Sender<Token>, Receiver<Token>),
     station: Arc<ServiceStation>,
     shutdown: Shutdown,
     name: String,
 ) -> (QueueHandle, JoinHandle<()>) {
-    let (records_tx, records_rx) = unbounded::<Vec<Incoming>>();
-    let (token_tx, token_rx) = token_channel;
+    let inbox = Arc::new(Inbox {
+        state: StdMutex::default(),
+        ready: Condvar::new(),
+        depth: cfg.health.depth.clone(),
+    });
+    cfg.ring.inboxes.write().push(Arc::clone(&inbox));
     let processed = Counter::new();
-    let retire = RetireState::new();
+    let token_passes = Counter::new();
     let handle = QueueHandle {
-        records_tx,
-        token_tx,
-        next_queue: Arc::clone(&cfg.next_queue),
+        inbox: Arc::clone(&inbox),
+        ring: cfg.ring.clone(),
         station: Arc::clone(&station),
         processed: processed.clone(),
+        token_passes: token_passes.clone(),
         tracer: cfg.tracer.clone(),
-        retire: retire.clone(),
     };
     let thread = std::thread::Builder::new()
         .name(name)
-        .spawn(move || {
-            queue_loop(
-                cfg,
-                &records_rx,
-                &token_rx,
-                &station,
-                &shutdown,
-                &processed,
-                &retire,
-            )
-        })
+        .spawn(move || queue_loop(cfg, &inbox, &station, &shutdown, &processed, &token_passes))
         .expect("spawn queue");
     (handle, thread)
 }
 
 fn queue_loop(
     cfg: QueueNodeConfig,
-    records_rx: &Receiver<Vec<Incoming>>,
-    token_rx: &Receiver<Token>,
+    inbox: &Arc<Inbox>,
     station: &ServiceStation,
     shutdown: &Shutdown,
     processed: &Counter,
-    retire: &RetireState,
+    token_passes: &Counter,
 ) {
     let mut core = QueueCore::new(cfg.dc, cfg.carries_deferred);
-    let pass_token = |token: Token| cfg.next_queue.lock().send(token).is_ok();
-    // Assigns everything assignable under the token and hands it to the
-    // maintainers; returns how many records that was.
-    let assign = |core: &mut QueueCore, token: &mut Token| {
-        let entries = core.process(token);
-        let assigned = entries.len() as u64;
-        processed.add(assigned);
-        for e in &entries {
-            // The queue span ends at assignment; the store span opens as
-            // the entry leaves for its maintainer.
-            cfg.tracer.exit(e.record.trace);
-            cfg.store_tracer.enter(e.record.trace);
-        }
-        route_entries(entries, &cfg.controller, &cfg.maintainers.read());
-        assigned
-    };
+    // Records this queue holds: staged for the token, or parked.
+    let held_records = |core: &QueueCore| core.staged_len() + core.parked_len();
+    // The token, while it rests here.
+    let mut held: Option<Token> = None;
+    // Whether this queue has asked for the token since it last had it.
+    let mut asked = false;
     loop {
+        let (batches, arrived, stopped) = inbox.wait();
         if shutdown.is_signaled() {
             return;
         }
-        if retire.stop.is_signaled() {
-            // Retired: the ring is already unspliced around this node, so
-            // no further tokens will be addressed here — but one may still
-            // sit in the channel. Forward stragglers so the deployment's
-            // single token survives, then exit.
-            while let Ok(token) = token_rx.try_recv() {
-                let _ = pass_token(token);
-            }
-            cfg.health.depth.set(0);
-            cfg.health.occupancy.set(0);
-            return;
+        let token_came = arrived.is_some();
+        if token_came {
+            debug_assert!(held.is_none(), "two tokens in one ring");
+            held = arrived;
+            asked = false;
         }
-        cfg.health.depth.set(records_rx.len() as i64);
-        cfg.health
-            .occupancy
-            .set((core.staged_len() + core.parked_len()) as i64);
-        // Stage any waiting records (non-blocking), paying their machine
-        // cost NOW — while this queue does *not* hold the token. The
-        // per-record work (staging, buffering, building batches) is what a
-        // queue machine spends its time on; only the LId assignment itself
-        // is serialized by the token, so queue machines scale out (§6.2,
-        // Table 5).
+        // Stage what arrived, paying its machine cost NOW — whether or not
+        // this queue holds the token. The per-record work (staging,
+        // buffering, building batches) is what a queue machine spends its
+        // time on; only the LId assignment itself is serialized by the
+        // token, so queue machines scale out (§6.2, Table 5).
         let mut crashed = false;
-        loop {
-            match records_rx.try_recv() {
-                Ok(batch) => {
-                    let n = batch.len() as u64;
-                    core.stage(batch);
-                    if station.serve(n).is_err() {
-                        crashed = true;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
-            }
+        for batch in batches {
+            let n = batch.len() as u64;
+            core.stage(batch);
+            crashed |= station.serve(n).is_err();
         }
-        // Wait briefly for the token.
-        let mut token = match token_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(t) => t,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        };
-        if crashed || station.is_crashed() {
-            // Crashed: pass the token straight on so the ring survives (a
-            // real deployment would re-mint it via the controller).
-            let _ = pass_token(token);
-            continue;
-        }
+        crashed |= station.is_crashed();
 
-        let staged = core.staged_len() as u64;
-        let mut assigned = assign(&mut core, &mut token);
-        if assigned == 0 && staged == 0 && !cfg.idle_pause.is_zero() {
-            // Nothing to do: rest before passing the token on, so a quiet
-            // single-queue deployment doesn't spin — but rest on the
-            // records channel. A batch that arrives meanwhile is assigned
-            // under the token already in hand instead of waiting out the
-            // pause and another trip round the ring.
-            if let Ok(batch) = records_rx.recv_timeout(cfg.idle_pause) {
-                let n = batch.len() as u64;
-                core.stage(batch);
-                if station.serve(n).is_err() {
-                    let _ = pass_token(token);
-                    continue;
-                }
-                assigned = assign(&mut core, &mut token);
+        let Some(token) = held.as_mut() else {
+            if stopped {
+                return;
+            }
+            // Records are held here and the token is elsewhere: ask for it,
+            // once. (A crashed queue asks when it is back up; one that let
+            // the token through while it held records asks again.)
+            if held_records(&core) > 0 && !asked && !crashed {
+                cfg.ring.ask(inbox);
+                asked = true;
+            }
+            cfg.health.occupancy.set(held_records(&core) as i64);
+            continue;
+        };
+
+        // With the token: assign everything assignable and hand it to the
+        // maintainers. Only new records here, or a token fresh from
+        // assignments elsewhere, can make anything assignable.
+        if !crashed && (core.staged_len() > 0 || token_came) {
+            let entries = core.process(token);
+            let assigned = entries.len() as u64;
+            processed.add(assigned);
+            for e in &entries {
+                // The queue span ends at assignment; the store span opens
+                // as the entry leaves for its maintainer.
+                cfg.tracer.exit(e.record.trace);
+                cfg.store_tracer.enter(e.record.trace);
+            }
+            route_entries(entries, &cfg.controller, &cfg.maintainers.read());
+            if assigned > 0 {
+                cfg.atable.write().merge_row(cfg.dc, &token.applied);
+                // New local records are on their way to the maintainers:
+                // wake the senders so propagation starts now, not at the
+                // next heartbeat. Coalesces, so a busy ring costs one
+                // signal per sender round at most.
+                cfg.sender_wakeup.notify();
             }
         }
-        if retire.retiring.load(Ordering::SeqCst) {
-            // Draining: the ingress is already gone, so the channel only
-            // shrinks. Push anything parked here onto the token and report
-            // drained once this node holds no records at all — judged
-            // while holding the token, so the verdict cannot race an
-            // assignment.
-            core.evict_onto(&mut token);
-            let empty = records_rx.is_empty() && core.staged_len() == 0 && core.parked_len() == 0;
-            retire.drained.store(empty, Ordering::SeqCst);
-        } else if retire.drained.load(Ordering::SeqCst) {
-            // A cancelled retire leaves no stale verdict behind.
-            retire.drained.store(false, Ordering::SeqCst);
+        // The turn ends. A crashed machine judges nothing; it only lets
+        // the token through so the ring survives (a real deployment would
+        // re-mint it via the controller).
+        let pass = {
+            let mut s = inbox.state();
+            if s.retiring && !crashed {
+                // Draining: the ingress is already gone, so the inbox only
+                // shrinks. Push anything parked here onto the token and
+                // report drained once this node holds no records at all —
+                // judged while holding the token, so the verdict cannot
+                // race an assignment.
+                core.evict_onto(token);
+                s.drained = s.batches.is_empty() && held_records(&core) == 0;
+            }
+            // The token moves on only if somebody asked for it (or this
+            // queue is leaving); otherwise it rests here.
+            let pass = std::mem::take(&mut s.nudged) || stopped;
+            s.holding = !pass;
+            pass
+        };
+        cfg.health.occupancy.set(held_records(&core) as i64);
+        if pass {
+            token_passes.add(1);
+            cfg.ring.pass(inbox, held.take().expect("checked above"));
         }
-        cfg.atable.write().merge_row(cfg.dc, &token.applied);
-        if assigned > 0 {
-            // New local records are on their way to the maintainers: wake
-            // the senders so propagation starts now, not at the next
-            // heartbeat. Coalesces, so a busy ring costs one signal per
-            // sender round at most.
-            cfg.sender_wakeup.notify();
-        }
-        token.passes += 1;
-        if !pass_token(token) {
+        if stopped {
             return;
         }
     }
@@ -569,61 +677,267 @@ mod tests {
         }
     }
 
-    /// A batch that reaches a queue resting with the token is assigned
-    /// then, not after the rest of the pause.
-    #[test]
-    fn idle_token_holder_assigns_a_batch_as_it_arrives() {
-        use chariots_flstore::RangeMap;
-        use chariots_simnet::StationConfig;
-        use crossbeam::channel::bounded;
+    // ---- the ring of queue nodes ----
 
-        let idle_pause = Duration::from_secs(5);
-        let (token_tx, token_rx) = unbounded();
-        let shutdown = Shutdown::new();
-        let (queue, thread) = spawn_queue(
-            QueueNodeConfig {
-                dc: DatacenterId(0),
-                carries_deferred: true,
-                controller: Controller::new(DatacenterId(0), RangeMap::new(1, 1_000)),
-                maintainers: Arc::new(RwLock::new(Vec::new())),
-                atable: Arc::new(RwLock::new(ATable::new(1))),
-                next_queue: Arc::new(Mutex::new(token_tx.clone())),
-                idle_pause,
-                tracer: StageTracer::disabled(),
-                store_tracer: StageTracer::disabled(),
-                sender_wakeup: Notify::new(),
-                health: StageHealth::disabled(),
-            },
-            (token_tx, token_rx),
-            Arc::new(ServiceStation::new("q0", StationConfig::uncapped())),
-            shutdown.clone(),
-            "queue-test".into(),
-        );
-        let append = |reply| {
+    use chariots_flstore::RangeMap;
+    use chariots_simnet::StationConfig;
+    use crossbeam::channel::{bounded, unbounded, Receiver};
+    use std::time::Instant;
+
+    /// Well inside every deadline below, well over a trip round the ring.
+    const SETTLE: Duration = Duration::from_millis(50);
+    const DEADLINE: Duration = Duration::from_millis(100);
+
+    /// `n` queue nodes on one ring, in-process inboxes, uncapped stations,
+    /// no maintainers behind them; the token starts at queue 0.
+    struct TestRing {
+        queues: Vec<QueueHandle>,
+        threads: Vec<JoinHandle<()>>,
+        shutdown: Shutdown,
+    }
+
+    impl TestRing {
+        fn new(n: usize) -> Self {
+            let ring = QueueRing::new();
+            let shutdown = Shutdown::new();
+            let (queues, threads): (Vec<_>, Vec<_>) = (0..n)
+                .map(|i| {
+                    spawn_queue(
+                        QueueNodeConfig {
+                            dc: DatacenterId(0),
+                            carries_deferred: true,
+                            controller: Controller::new(DatacenterId(0), RangeMap::new(1, 1_000)),
+                            maintainers: Arc::new(RwLock::new(Vec::new())),
+                            atable: Arc::new(RwLock::new(ATable::new(1))),
+                            ring: ring.clone(),
+                            tracer: StageTracer::disabled(),
+                            store_tracer: StageTracer::disabled(),
+                            sender_wakeup: Notify::new(),
+                            health: StageHealth::disabled(),
+                        },
+                        Arc::new(ServiceStation::new(
+                            format!("q{i}"),
+                            StationConfig::uncapped(),
+                        )),
+                        shutdown.clone(),
+                        format!("queue-test-{i}"),
+                    )
+                })
+                .unzip();
+            queues[0].inject_token(Token::new(1));
+            TestRing {
+                queues,
+                threads,
+                shutdown,
+            }
+        }
+
+        /// Sends one local append to queue `q`; the position arrives on the
+        /// returned channel when a queue assigns it.
+        fn append(&self, q: usize) -> Receiver<(TOId, LId)> {
+            let (reply, assigned) = bounded(1);
             let mut l = local(vec![0]);
             l.reply = Some(chariots_simnet::ReplyTo::local(reply));
-            queue.ingress().send(vec![Incoming::Local(l)])
-        };
-        queue.inject_token(Token::new(1));
-        // The first reply shows the queue has the token and has used it;
-        // with nothing more staged it now rests, token in hand.
-        let (reply, first) = bounded(1);
-        assert!(append(reply));
-        first.recv_timeout(Duration::from_secs(10)).unwrap();
-        // Give it time to get there. Whether the next batch then meets the
-        // queue resting or (on a slow machine) still on its way, it is
-        // assigned without waiting out a pause.
-        std::thread::sleep(Duration::from_millis(100));
-        let (reply, second) = bounded(1);
-        assert!(append(reply));
+            assert!(self.queues[q].ingress().send(vec![Incoming::Local(l)]));
+            assigned
+        }
+
+        fn passes(&self) -> u64 {
+            self.queues
+                .iter()
+                .map(|q| q.token_passes_counter().get())
+                .sum()
+        }
+
+        /// The token has come to rest: no pass for `SETTLE`. Returns the
+        /// passes made so far.
+        fn passes_at_rest(&self) -> u64 {
+            let before = self.passes();
+            std::thread::sleep(SETTLE);
+            assert_eq!(self.passes(), before, "the token is still moving");
+            before
+        }
+
+        fn stop(self) {
+            self.shutdown.signal();
+            for t in self.threads {
+                t.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_ring_passes_no_token() {
+        for n in [1, 3] {
+            let ring = TestRing::new(n);
+            std::thread::sleep(Duration::from_millis(200));
+            assert_eq!(ring.passes(), 0, "ring of {n}");
+            ring.stop();
+        }
+    }
+
+    /// Appends one after the other, each sent when the last is assigned,
+    /// at the queues `at` names in turn; returns how long all of them took.
+    /// A queue that sat out its idle tick before acting would need the
+    /// whole of [`IDLE_TICK`] for each, having just woken for the last.
+    fn appends_in_a_row(ring: &TestRing, at: impl Iterator<Item = usize>) -> Duration {
+        let t0 = Instant::now();
+        for q in at {
+            ring.append(q).recv_timeout(DEADLINE).unwrap();
+        }
+        t0.elapsed()
+    }
+
+    /// A batch that reaches the queue the token rests at is assigned as it
+    /// arrives, with no timer in the way and without the token moving.
+    #[test]
+    fn resting_token_holder_assigns_a_batch_as_it_arrives() {
+        let ring = TestRing::new(1);
         assert_eq!(
-            second.recv_timeout(idle_pause / 2).unwrap(),
-            (TOId(2), LId(1))
+            ring.append(0).recv_timeout(DEADLINE).unwrap(),
+            (TOId(1), LId(0))
         );
-        // An empty batch ends the pause the loop is in, and it sees the signal.
-        shutdown.signal();
-        assert!(queue.ingress().send(Vec::new()));
-        thread.join().unwrap();
+        let took = appends_in_a_row(&ring, std::iter::repeat(0).take(10));
+        assert!(took < IDLE_TICK * 5, "ten appends took {took:?}");
+        assert_eq!(ring.passes(), 0);
+        ring.stop();
+    }
+
+    #[test]
+    fn a_batch_at_another_queue_brings_the_token_there() {
+        let ring = TestRing::new(3);
+        let assigned = ring.append(2).recv_timeout(DEADLINE).unwrap();
+        assert_eq!(assigned, (TOId(1), LId(0)));
+        // 0 → 1 → 2, and there it stays: the next batch at 2 moves nothing.
+        assert_eq!(ring.passes_at_rest(), 2);
+        ring.append(2).recv_timeout(DEADLINE).unwrap();
+        assert_eq!(ring.passes_at_rest(), 2);
+        // To and fro, one pass to queue 0 and two back each time, and no
+        // leg of it waits for a tick.
+        let took = appends_in_a_row(&ring, [0, 2].into_iter().cycle().take(10));
+        assert!(took < IDLE_TICK * 5, "ten appends took {took:?}");
+        assert_eq!(ring.passes_at_rest(), 2 + 5 * 3);
+        ring.stop();
+    }
+
+    #[test]
+    fn two_waiting_queues_are_served_in_one_lap() {
+        let ring = TestRing::new(3);
+        let (a, b) = (ring.append(1), ring.append(2));
+        let mut lids = [
+            a.recv_timeout(DEADLINE).unwrap().1,
+            b.recv_timeout(DEADLINE).unwrap().1,
+        ];
+        lids.sort();
+        assert_eq!(lids, [LId(0), LId(1)]);
+        // Whichever way the two requests and the token interleave, it goes
+        // 0 → 1 → 2 once and rests.
+        assert_eq!(ring.passes_at_rest(), 2);
+        ring.stop();
+    }
+
+    #[test]
+    fn retiring_an_idle_queue_needs_no_timer_and_keeps_the_token() {
+        let mut ring = TestRing::new(3);
+        let victim = ring.queues[2].clone();
+        victim.begin_retire();
+        let t0 = Instant::now();
+        while !victim.is_drained() {
+            assert!(t0.elapsed() < DEADLINE, "no verdict");
+            std::thread::yield_now();
+        }
+        victim.cancel_retire();
+        assert!(!victim.is_drained(), "a cancelled retire leaves no verdict");
+        // Its visit over, the token has left the victim: 0 → 1 → 2 → 0.
+        assert_eq!(ring.passes_at_rest(), 3);
+
+        victim.begin_retire();
+        let t0 = Instant::now();
+        while !victim.is_drained() {
+            assert!(t0.elapsed() < DEADLINE, "no second verdict");
+            std::thread::yield_now();
+        }
+        victim.finish_retire();
+        ring.queues.pop();
+        ring.threads.pop().unwrap().join().unwrap();
+        // The ring of two still has its token, and only one: positions go on
+        // where they left off at either queue.
+        assert_eq!(ring.append(1).recv_timeout(DEADLINE).unwrap().1, LId(0));
+        assert_eq!(ring.append(0).recv_timeout(DEADLINE).unwrap().1, LId(1));
+        assert_eq!(ring.append(1).recv_timeout(DEADLINE).unwrap().1, LId(2));
+        ring.stop();
+    }
+
+    /// A queue retired while the token rests with it hands it on first.
+    #[test]
+    fn a_retired_queue_forwards_the_token_it_holds() {
+        let mut ring = TestRing::new(2);
+        ring.append(1).recv_timeout(DEADLINE).unwrap();
+        assert_eq!(ring.passes_at_rest(), 1, "the token rests at queue 1");
+        let victim = ring.queues.pop().unwrap();
+        victim.finish_retire();
+        ring.threads.pop().unwrap().join().unwrap();
+        assert_eq!(ring.append(0).recv_timeout(DEADLINE).unwrap().1, LId(1));
+        ring.stop();
+    }
+
+    #[test]
+    fn a_crashed_holder_lets_the_token_through() {
+        let ring = TestRing::new(3);
+        ring.queues[0].station().crash();
+        let assigned = ring.append(1).recv_timeout(DEADLINE).unwrap();
+        assert_eq!(assigned, (TOId(1), LId(0)));
+        // And a crashed queue in the token's way does not stop it either.
+        ring.queues[2].station().crash();
+        ring.queues[0].station().recover();
+        let assigned = ring.append(0).recv_timeout(DEADLINE).unwrap();
+        assert_eq!(assigned, (TOId(2), LId(1)));
+        ring.stop();
+    }
+
+    /// Records staged at a crashed queue wait out the outage and are
+    /// assigned once it is back, whether or not anything else arrives.
+    #[test]
+    fn a_recovered_queue_assigns_what_it_staged_while_down() {
+        let ring = TestRing::new(2);
+        ring.queues[1].station().crash();
+        let stalled = ring.append(1);
+        assert!(stalled.recv_timeout(SETTLE).is_err(), "assigned while down");
+        ring.queues[1].station().recover();
+        let assigned = stalled.recv_timeout(IDLE_TICK + DEADLINE).unwrap();
+        assert_eq!(assigned, (TOId(1), LId(0)));
+        ring.stop();
+    }
+
+    #[test]
+    fn concurrent_producers_get_dense_unique_positions() {
+        const PRODUCERS: usize = 4;
+        const BATCHES: usize = 2_000;
+        let ring = TestRing::new(3);
+        let mut lids: Vec<u64> = std::thread::scope(|scope| {
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let ring = &ring;
+                    scope.spawn(move || {
+                        let replies: Vec<_> =
+                            (0..BATCHES).map(|i| ring.append((p + i) % 3)).collect();
+                        replies
+                            .into_iter()
+                            .map(|r| r.recv_timeout(Duration::from_secs(30)).unwrap().1 .0)
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            producers
+                .into_iter()
+                .flat_map(|p| p.join().unwrap())
+                .collect()
+        });
+        lids.sort_unstable();
+        let expected: Vec<u64> = (0..(PRODUCERS * BATCHES) as u64).collect();
+        assert_eq!(lids, expected, "every position once, none skipped");
+        ring.passes_at_rest();
+        ring.stop();
     }
 
     #[test]

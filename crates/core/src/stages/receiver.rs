@@ -3,19 +3,18 @@
 //!
 //! Receivers drain the WAN links, record the sending datacenter's applied
 //! cut in the shared ATable (the knowledge that drives propagation
-//! filtering and GC), and forward the records to the batchers. When a
-//! message actually raises the ATable — new knowledge, not a redundant
-//! heartbeat — the receiver signals the local senders' wakeup so the next
-//! propagation round runs immediately instead of waiting out the heartbeat
-//! floor. Gating the signal on the rise keeps the WAN quiet: redundant
-//! gossip never triggers a reply round, so two event-driven datacenters
-//! cannot ping-pong each other awake.
+//! filtering and GC), and forward the records to the batchers. A receiver
+//! never wakes the local senders: with delta shipping a peer's cut changes
+//! nothing a round would ship, and pruning, cursor clamping and the
+//! retransmit clock are served by the next round anyway — one driven by a
+//! local record or by the heartbeat floor. So a message cannot cause a
+//! message, and two datacenters cannot ping-pong each other awake.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chariots_simnet::{Counter, Notify, PipelineTracer, ServiceStation, Shutdown};
+use chariots_simnet::{Counter, PipelineTracer, ServiceStation, Shutdown};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::RwLock;
 
@@ -32,7 +31,6 @@ pub fn spawn_receiver(
     wan_rx: Receiver<PropagationMsg>,
     batchers: Arc<RwLock<Vec<BatcherHandle>>>,
     atable: Arc<RwLock<ATable>>,
-    wakeup: Notify,
     station: Arc<ServiceStation>,
     shutdown: Shutdown,
     name: String,
@@ -72,11 +70,8 @@ pub fn spawn_receiver(
                 }
                 processed.add(n);
                 // The sender's applied cut: everything `from` has
-                // incorporated — row `from` of our ATable. A rise means our
-                // senders may have new room to offer (or prune): wake them.
-                if atable.write().merge_row(msg.from, &msg.applied) {
-                    wakeup.notify();
-                }
+                // incorporated — row `from` of our ATable.
+                atable.write().merge_row(msg.from, &msg.applied);
                 let batchers = batchers.read();
                 if batchers.is_empty() {
                     continue;
@@ -150,12 +145,10 @@ mod tests {
         let station = Arc::new(ServiceStation::new("r0", StationConfig::uncapped()));
         let (batchers, filter_rx, batcher_thread) = test_batchers(&shutdown);
         let (wan_tx, wan_rx) = unbounded();
-        let mut wakeup = Notify::new();
         let (counter, recv_thread) = spawn_receiver(
             wan_rx,
             batchers,
             Arc::clone(&atable),
-            wakeup.clone(),
             station,
             shutdown.clone(),
             "receiver".into(),
@@ -193,8 +186,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(counter.get(), 1);
-        // The ATable rise signalled the senders' wakeup.
-        assert!(wakeup.try_consume(), "knowledge rise wakes the senders");
         shutdown.signal();
         recv_thread.join().unwrap();
         batcher_thread.join().unwrap();
@@ -202,21 +193,18 @@ mod tests {
 
     /// Regression: empty applied-cut heartbeats must not be charged as
     /// record work at the ingress station — under the old `n.max(1)`
-    /// accounting, the gossip floor alone consumed serve capacity. And a
-    /// redundant heartbeat (no ATable rise) must not wake the senders.
+    /// accounting, the gossip floor alone consumed serve capacity.
     #[test]
-    fn empty_heartbeats_cost_nothing_and_do_not_wake_senders() {
+    fn empty_heartbeats_cost_nothing() {
         let shutdown = Shutdown::new();
         let atable = Arc::new(RwLock::new(ATable::new(2)));
         let station = Arc::new(ServiceStation::new("r0", StationConfig::uncapped()));
         let (batchers, _filter_rx, batcher_thread) = test_batchers(&shutdown);
         let (wan_tx, wan_rx) = unbounded();
-        let mut wakeup = Notify::new();
         let (counter, recv_thread) = spawn_receiver(
             wan_rx,
             batchers,
             Arc::clone(&atable),
-            wakeup.clone(),
             Arc::clone(&station),
             shutdown.clone(),
             "receiver".into(),
@@ -243,10 +231,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(station.served(), 0, "heartbeats are not record work");
         assert_eq!(counter.get(), 0);
-        // Exactly the first heartbeat raised knowledge; the four redundant
-        // ones coalesce into that single pending signal.
-        assert!(wakeup.try_consume());
-        assert!(!wakeup.try_consume(), "redundant gossip does not re-wake");
         shutdown.signal();
         recv_thread.join().unwrap();
         batcher_thread.join().unwrap();

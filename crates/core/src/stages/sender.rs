@@ -35,10 +35,13 @@
 //!
 //! Outgoing chunks are built once per round as `Arc<[Record]>` and shared
 //! across every peer that needs the same range, bounded both by record
-//! count ([`SEND_BATCH`]) and by bytes (`max_chunk_bytes`). Rounds are
-//! event-driven: the queues (new local records) and receivers (ATable
-//! rises) signal the senders' [`Notify`], with the propagation interval
-//! demoted to a gossip heartbeat floor.
+//! count ([`SEND_BATCH`]) and by bytes (`max_chunk_bytes`). Rounds follow
+//! local records: the queues signal the senders' [`Notify`] when they
+//! route an assignment, and the propagation interval is the heartbeat
+//! floor of a quiet sender. Nothing a peer sends starts a round — its
+//! acknowledgement changes nothing a round would ship, and pruning, cursor
+//! clamping and the retransmit clock are served by the next round — so a
+//! message never causes a message.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -112,12 +115,14 @@ impl SenderMetrics {
 }
 
 /// Live health of one sender machine, refreshed once per propagation
-/// round: retransmission-cache occupancy and, per peer, how far the
-/// peer's applied cut trails this sender's offer cursor. Timeout-triggered
+/// round: rounds run, retransmission-cache occupancy and, per peer, how
+/// far the peer's applied cut trails this sender's offer cursor. Timeout-triggered
 /// fallbacks additionally land in the registry's event journal as
 /// [`EventKind::WanRetransmit`], correlated with the peer they healed.
 #[derive(Debug, Clone)]
 pub struct SenderHealth {
+    /// Propagation rounds run. A quiet sender runs one per heartbeat.
+    pub rounds: Counter,
     /// Records currently cached for (re)transmission.
     pub cache: Gauge,
     /// Evicted-record locations tracked for on-demand rehydration.
@@ -134,6 +139,7 @@ impl SenderHealth {
     /// nodes).
     pub fn disabled() -> Self {
         SenderHealth {
+            rounds: Counter::new(),
             cache: Gauge::new(),
             evicted: Gauge::new(),
             peer_lag: Vec::new(),
@@ -142,7 +148,7 @@ impl SenderHealth {
         }
     }
 
-    /// Gauges registered as `{prefix}.{node}.cache.occupancy`,
+    /// Counter `{prefix}.{node}.rounds`; gauges `{prefix}.{node}.cache.occupancy`,
     /// `{prefix}.{node}.evicted.occupancy`, and
     /// `{prefix}.{node}.peer{P}.cursor_lag`; events publish to the
     /// registry's journal under source `{prefix}.{node}`.
@@ -153,6 +159,7 @@ impl SenderHealth {
         peers: &[DatacenterId],
     ) -> Self {
         SenderHealth {
+            rounds: registry.counter(&format!("{prefix}.{node}.rounds")),
             cache: registry.gauge(&format!("{prefix}.{node}.cache.occupancy")),
             evicted: registry.gauge(&format!("{prefix}.{node}.evicted.occupancy")),
             peer_lag: peers
@@ -320,6 +327,7 @@ impl SenderNode {
     /// wire, so the long-run send rate respects the machine's capacity.
     /// Returns the number of records sent.
     pub fn round(&mut self, station: Option<&ServiceStation>) -> u64 {
+        self.health.rounds.add(1);
         self.scan_new_records();
         self.enforce_cache_cap();
         let now = Instant::now();
@@ -467,13 +475,12 @@ impl SenderNode {
         let mine = self.my_maintainers();
         for (idx, handle) in mine {
             let cursor = self.cursors.entry(idx).or_insert(LId::ZERO);
-            // Only positions below the maintainer's frontier are final
-            // (everything owned below the frontier is filled), so the
-            // cursor never skips a slot that fills later.
-            let Ok(stats) = handle.stats() else { continue };
-            let frontier = stats.frontier;
             loop {
-                let Ok(entries) = handle.scan(*cursor, SCAN_BATCH) else {
+                // Only positions below the maintainer's frontier are final
+                // (everything owned below the frontier is filled), so the
+                // cursor never skips a slot that fills later. The frontier
+                // comes with the scan it bounds: one RPC per maintainer.
+                let Ok((frontier, entries)) = handle.scan(*cursor, SCAN_BATCH) else {
                     break;
                 };
                 if entries.is_empty() {
@@ -693,9 +700,9 @@ fn build_chunk(
     out.into()
 }
 
-/// Spawns a sender node. Rounds are event-driven: `wakeup` fires when new
-/// local records are routed or the ATable rises, and `interval` is the
-/// gossip heartbeat floor a quiet sender still honours.
+/// Spawns a sender node. Rounds are event-driven: `wakeup` fires when a
+/// queue routes new local records, and `interval` is the gossip heartbeat
+/// floor a quiet sender still honours.
 pub fn spawn_sender(
     mut node: SenderNode,
     interval: Duration,

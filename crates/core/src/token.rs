@@ -26,8 +26,6 @@ pub struct Token {
     pub deferred: BTreeMap<RecordId, Record>,
     /// Local appends whose client context is not yet satisfied.
     pub deferred_local: Vec<LocalAppend>,
-    /// How many times the token has been passed (diagnostics).
-    pub passes: u64,
 }
 
 impl Token {
@@ -38,7 +36,6 @@ impl Token {
             next_lid: LId::ZERO,
             deferred: BTreeMap::new(),
             deferred_local: Vec::new(),
-            passes: 0,
         }
     }
 

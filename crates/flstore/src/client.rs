@@ -629,7 +629,7 @@ impl FLStoreClient {
         let mut out = Vec::new();
         for m in &self.session.maintainers {
             self.obs.rpc_count.add(1);
-            for e in m.scan(LId::ZERO, usize::MAX)? {
+            for e in m.scan(LId::ZERO, usize::MAX)?.1 {
                 if e.lid < hl && rule.matches(&e) {
                     out.push(e);
                 }

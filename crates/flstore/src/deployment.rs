@@ -180,8 +180,10 @@ impl FLStore {
                     format!("maintainer{}.r{r}", id.0)
                 };
                 let metrics = TransportMetrics::registered(&self.registry, &endpoint);
+                // Named for its listener's threads: `A-m0r0-accept`, `-conn`.
+                let listener = format!("{}-m{}r{r}", self.dc, id.0);
                 handle
-                    .via_tcp(&endpoint, self.shutdown.clone(), metrics)
+                    .via_tcp(&listener, self.shutdown.clone(), metrics)
                     .map_err(|e| chariots_types::ChariotsError::Transport(e.to_string()))?
             } else {
                 handle

@@ -518,7 +518,7 @@ mod client_semantics_tests {
                     traffic.append(TagSet::new(), "filler").unwrap();
                     // Find the parked record by scanning for its body.
                     for m in store.maintainers() {
-                        for e in m.scan(LId::ZERO, 1000).unwrap() {
+                        for e in m.scan(LId::ZERO, 1000).unwrap().1 {
                             if &e.record.body[..] == b"later" {
                                 released = Some(e.lid);
                             }

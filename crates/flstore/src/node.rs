@@ -130,8 +130,10 @@ pub enum MaintainerRequest {
         from: LId,
         /// Maximum entries returned.
         max: usize,
-        /// Reply channel.
-        reply: ReplyTo<Vec<Entry>>,
+        /// Reply channel: the maintainer's frontier as of the scan (every
+        /// owned position below it is filled, so entries below it are
+        /// final), then the entries.
+        reply: ReplyTo<(LId, Vec<Entry>)>,
     },
     /// Ask for this maintainer's view of the Head of the Log.
     HeadOfLog {
@@ -256,7 +258,7 @@ impl Wire for MaintainerRequest {
             5 => Some(MaintainerRequest::Scan {
                 from: LId::decode(r)?,
                 max: usize::decode(r)?,
-                reply: ReplyTo::<Vec<Entry>>::decode(r)?,
+                reply: ReplyTo::<(LId, Vec<Entry>)>::decode(r)?,
             }),
             6 => Some(MaintainerRequest::HeadOfLog {
                 reply: ReplyTo::<LId>::decode(r)?,
@@ -442,8 +444,10 @@ impl MaintainerHandle {
         rx.recv().map_err(|_| ChariotsError::ShutDown)
     }
 
-    /// Scan owned entries with `lid ≥ from`.
-    pub fn scan(&self, from: LId, max: usize) -> Result<Vec<Entry>> {
+    /// Scan owned entries with `lid ≥ from`. Returns them behind the
+    /// maintainer's frontier at the time of the scan: every owned position
+    /// below it is filled, so what the scan returned below it is final.
+    pub fn scan(&self, from: LId, max: usize) -> Result<(LId, Vec<Entry>)> {
         let (reply, rx) = bounded(1);
         self.dispatch(MaintainerRequest::Scan {
             from,
@@ -832,7 +836,14 @@ pub fn spawn_replica(
         wire: None,
     };
     let thread = std::thread::Builder::new()
-        .name(format!("maintainer-{}-r{}", core.id(), ctx.index))
+        // Prefixed with the datacenter's letter like the stage threads, and
+        // short enough for the 15 bytes Linux keeps of a thread's name.
+        .name(format!(
+            "{}-maint-{}-r{}",
+            core.datacenter(),
+            core.id().0,
+            ctx.index
+        ))
         .spawn(move || {
             maintainer_loop(
                 &mut core,
@@ -1821,7 +1832,7 @@ fn serve_request(
             let _ = reply.send(result);
         }
         MaintainerRequest::Scan { from, max, reply } => {
-            let _ = reply.send(core.scan_from(from, max));
+            let _ = reply.send((core.stats().frontier, core.scan_from(from, max)));
         }
         MaintainerRequest::HeadOfLog { reply } => {
             let _ = reply.send(core.head_of_log());

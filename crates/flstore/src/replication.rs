@@ -464,8 +464,9 @@ impl ReplicaGroupHandle {
             .collect()
     }
 
-    /// Scan owned entries with `lid ≥ from` (served by the primary).
-    pub fn scan(&self, from: LId, max: usize) -> Result<Vec<Entry>> {
+    /// Scan owned entries with `lid ≥ from`, behind the frontier they were
+    /// scanned under (served by the primary).
+    pub fn scan(&self, from: LId, max: usize) -> Result<(LId, Vec<Entry>)> {
         self.primary()?.scan(from, max)
     }
 
@@ -671,7 +672,7 @@ pub fn run_repair(groups: &[ReplicaGroupHandle], batch: usize, lag: &Gauge) {
                 continue;
             }
             worst_lag = worst_lag.max(top.0 - frontier.0);
-            if let Ok(missing) = replicas[source].scan(frontier, batch) {
+            if let Ok((_, missing)) = replicas[source].scan(frontier, batch) {
                 if !missing.is_empty() {
                     let _ = replicas[i].replicate(missing.into(), generation);
                 }

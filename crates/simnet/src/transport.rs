@@ -56,8 +56,13 @@ pub const FRAME_HEADER_BYTES: usize = 8;
 /// prefix cannot make the decoder allocate more than this.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// How often blocking socket loops wake up to poll shutdown.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// How often a connection's reader wakes from `read` to poll shutdown.
+const READ_POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// How long shutdown waits for the connection that wakes an accept thread.
+/// Loopback connects in microseconds while that thread is alive; if it is
+/// not, nothing needs waking.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -562,10 +567,13 @@ impl fmt::Debug for TcpSender {
 // ---------------------------------------------------------------------------
 
 /// Binds `127.0.0.1:0` and serves inbound frames to `on_frame` until
-/// `shutdown` is signaled. Returns the bound address. One reader thread
-/// per connection, each with a reusable receive buffer; threads exit on
-/// peer disconnect, any frame error (the stream can no longer be
-/// trusted), or shutdown.
+/// `shutdown` is signaled. Returns the bound address. The accept thread
+/// (`{name}-accept`) sleeps in `accept` — a connection is taken the moment
+/// it is made — and shutdown wakes it with a connection of its own. One
+/// reader thread per connection (`{name}-conn`), each with a reusable
+/// receive buffer; threads exit on peer disconnect, any frame error (the
+/// stream can no longer be trusted), or shutdown. Linux keeps 15 bytes of
+/// a thread's name: a `name` of up to 8 shows whole in both.
 pub fn spawn_frame_listener<F>(
     name: &str,
     shutdown: Shutdown,
@@ -576,30 +584,30 @@ where
     F: Fn(Bytes) + Send + Clone + 'static,
 {
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let accept_name = format!("{name}-accept");
+    let conn_name = format!("{name}-conn");
+    let accepting = shutdown.clone();
     thread::Builder::new()
-        .name(accept_name)
+        .name(format!("{name}-accept"))
         .spawn(move || {
-            while !shutdown.is_signaled() {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let shutdown = shutdown.clone();
-                        let metrics = metrics.clone();
-                        let on_frame = on_frame.clone();
-                        let _ = thread::Builder::new()
-                            .name("transport-conn".into())
-                            .spawn(move || serve_connection(stream, shutdown, metrics, on_frame));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => break,
+            for stream in listener.incoming() {
+                if accepting.is_signaled() {
+                    break;
                 }
+                let Ok(stream) = stream else { break };
+                let shutdown = accepting.clone();
+                let metrics = metrics.clone();
+                let on_frame = on_frame.clone();
+                let _ = thread::Builder::new()
+                    .name(conn_name.clone())
+                    .spawn(move || serve_connection(stream, shutdown, metrics, on_frame));
             }
         })
         .map_err(io::Error::other)?;
+    // The accept thread sees the flag only when `accept` returns.
+    shutdown.on_signal(move || {
+        let _ = TcpStream::connect_timeout(&addr, WAKE_CONNECT_TIMEOUT);
+    });
     Ok(addr)
 }
 
@@ -611,7 +619,7 @@ fn serve_connection<F>(
 ) where
     F: Fn(Bytes),
 {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL * 10));
+    let _ = stream.set_read_timeout(Some(READ_POLL_INTERVAL));
     let mut stream = stream;
     let mut decoder = FrameDecoder::new();
     let mut chunk = vec![0u8; 64 * 1024];
@@ -1040,6 +1048,27 @@ mod tests {
         let snap = registry.snapshot();
         assert!(snap.counters["dc0.chariots.transport.client0.bytes_out"] > 0);
         shutdown.signal();
+    }
+
+    /// The accept thread sleeps in `accept`; shutdown wakes it with a
+    /// connection of its own and it goes, taking the socket with it.
+    #[test]
+    fn shutdown_ends_the_accept_thread() {
+        let shutdown = Shutdown::new();
+        let addr = spawn_frame_listener(
+            "test",
+            shutdown.clone(),
+            TransportMetrics::detached(),
+            |_frame| {},
+        )
+        .unwrap();
+        assert!(TcpStream::connect(addr).is_ok(), "listening");
+        shutdown.signal();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while TcpStream::connect(addr).is_ok() {
+            assert!(Instant::now() < deadline, "still accepting");
+            thread::yield_now();
+        }
     }
 
     #[test]

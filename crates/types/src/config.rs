@@ -379,11 +379,11 @@ pub struct ChariotsConfig {
     /// a design decision"). Ablation A3.
     pub token_carries_deferred: bool,
     /// Heartbeat floor of the senders stage (§6.1 *Propagate*): with delta
-    /// shipping on, senders run a round as soon as new local records or an
-    /// ATable update arrives, and this interval only bounds how long a
-    /// quiet sender may go without gossiping its applied cut. With delta
-    /// shipping off it is the fixed round interval, as in the abstract
-    /// solution.
+    /// shipping on, senders run a round as soon as a queue has assigned new
+    /// local records, and this interval only bounds how long a quiet sender
+    /// may go without gossiping its applied cut (a peer's gossip arriving
+    /// starts no round). With delta shipping off it is the fixed round
+    /// interval, as in the abstract solution.
     pub propagation_interval: Duration,
     /// Cursor-based delta shipping for the senders stage: a healthy round
     /// ships only records beyond a per-peer send cursor instead of

@@ -320,7 +320,7 @@ mod group_commit_equivalence {
                 std::thread::sleep(Duration::from_millis(1));
             }
 
-            let batched_log = handle.scan(LId(0), 1_000_000).expect("scan");
+            let (_, batched_log) = handle.scan(LId(0), 1_000_000).expect("scan");
             shutdown.signal();
             thread.join().expect("join node");
 
