@@ -10,8 +10,8 @@
 use std::path::PathBuf;
 
 use chariots_bench::experiments::{
-    ablations, apps, availability, baseline, batching, commitpath, elasticity, fig7, fig8, fig9,
-    geo, obs, readpath, recovery, tables, txn, wire,
+    ablations, apps, availability, baseline, batching, elasticity, fig7, fig8, fig9, geo, obs,
+    readpath, recovery, tables, txn, wire,
 };
 use chariots_bench::report::Report;
 use chariots_simnet::MetricsSnapshot;
@@ -34,16 +34,14 @@ experiments:
              maintainer-primary crash (replication factor 2)
   batching   group-commit sweep: throughput/latency vs drain bound and
              WAL sync policy
-  commitpath serial fsync-then-replicate vs pipelined quorum commit:
-             ack latency, fsync/replication breakdown, and an acked-record
-             integrity audit across a forced failover
   readpath   read sweep: scatter-gather batched reads and client caches
              vs per-record reads, plus pushed-down rule lookups
   recovery   restart sweep: flat-WAL full replay vs segmented WAL with
              checkpoints — time-to-serving, replayed bytes, reclaimed
              disk, and an acked-record ledger across the restart
   geo        WAN propagation sweep: cursor-based delta shipping and
-             event-driven senders vs full re-offer, on a lossy WAN
+             event-driven senders across heartbeat intervals, on a lossy
+             WAN
   txn        commit latency vs WAN latency (Message Futures / Helios)
   apps       Hyksos / stream-processing throughput over the log
   ablations  A1/A2 (FLStore knobs), A3 (token policy), A5 (flush threshold)
@@ -59,8 +57,8 @@ experiments:
   all        everything above
 --quick trims warmups/windows for smoke runs
 --smoke implies --quick and additionally gates: experiments with a smoke
-  check (batching, commitpath, readpath, recovery, geo, obs, elasticity,
-  wire) fail the process when the check fails
+  check (batching, readpath, recovery, obs, elasticity, wire) fail the
+  process when the check fails
 --transport launches the pipeline experiments (tables 2-5, fig9) on the
   chosen substrate: in-process simnet channels (default) or real TCP
   loopback sockets; recorded in every saved results JSON (the wire
@@ -145,7 +143,6 @@ fn main() {
             "baseline" => vec![baseline::run(quick)],
             "availability" => vec![availability::run(quick)],
             "batching" => vec![batching::run(quick)],
-            "commitpath" => vec![commitpath::run(quick)],
             "readpath" => vec![readpath::run(quick)],
             "recovery" => vec![recovery::run(quick)],
             "geo" => vec![geo::run(quick)],
@@ -179,10 +176,8 @@ fn main() {
             if smoke {
                 let gate = match report.id.as_str() {
                     "batching" => Some(batching::verify_smoke(&report)),
-                    "commitpath" => Some(commitpath::verify_smoke(&report)),
                     "readpath" => Some(readpath::verify_smoke(&report)),
                     "recovery" => Some(recovery::verify_smoke(&report)),
-                    "geo" => Some(geo::verify_smoke(&report)),
                     "obs" => Some(obs::verify_smoke(&report)),
                     "elasticity" => Some(elasticity::verify_smoke(&report)),
                     "wire" => Some(wire::verify_smoke(&report)),
@@ -216,7 +211,6 @@ fn main() {
                 "baseline",
                 "availability",
                 "batching",
-                "commitpath",
                 "readpath",
                 "recovery",
                 "geo",

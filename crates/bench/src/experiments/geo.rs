@@ -1,13 +1,12 @@
-//! Geo-propagation sweep: cursor-based delta shipping vs the full
-//! re-offer baseline, across propagation intervals, on a lossy WAN.
+//! Geo-propagation sweep: the senders' cursor-based delta shipping across
+//! propagation intervals, on a lossy WAN.
 //!
-//! The reworked senders keep a per-peer send cursor and ship only records
-//! beyond it, falling back to re-offering from the ATable-known cut after
-//! a `retransmit_timeout` stall; rounds are event-driven (queues and
-//! receivers wake the senders), with the propagation interval demoted to a
-//! gossip heartbeat floor. The baseline (`sender_delta_shipping = false`)
-//! restores the original policy: every round re-offers the peer's whole
-//! unacknowledged window, paced purely by the interval.
+//! The senders keep a per-peer send cursor and ship only records beyond
+//! it, falling back to re-offering from the ATable-known cut after a
+//! `retransmit_timeout` stall; rounds are event-driven (the queues wake the
+//! senders), with the propagation interval demoted to a gossip heartbeat
+//! floor — so the sweep shows visibility staying flat as the interval
+//! grows.
 //!
 //! Each run pushes a paced append stream through DC 0 of a two-datacenter
 //! cluster over a WAN with latency, jitter, duplication, and drops, and
@@ -38,12 +37,7 @@ struct RunResult {
     retransmits: f64,
 }
 
-fn run_one(
-    delta: bool,
-    interval: Duration,
-    records: u64,
-    rate: f64,
-) -> (RunResult, MetricsSnapshot) {
+fn run_one(interval: Duration, records: u64, rate: f64) -> (RunResult, MetricsSnapshot) {
     let mut cfg = ChariotsConfig::new().datacenters(2);
     cfg.flstore = FLStoreConfig::new()
         .maintainers(2)
@@ -52,7 +46,6 @@ fn run_one(
     cfg.batcher_flush_threshold = 4;
     cfg.batcher_flush_interval = Duration::from_millis(1);
     cfg.propagation_interval = interval;
-    cfg.sender_delta_shipping = delta;
     cfg.retransmit_timeout = Duration::from_millis(50);
     // A lossy, jittery WAN: drops force the healing path, duplicates feed
     // the destination filters' dedup counters.
@@ -110,7 +103,7 @@ fn run_one(
     drop(vis_tx);
     assert!(
         cluster.wait_for_replication(records, Duration::from_secs(60)),
-        "geo run never converged (delta={delta}, interval={interval:?})"
+        "geo run never converged (interval={interval:?})"
     );
     let elapsed = t0.elapsed().as_secs_f64();
     watcher.join().expect("visibility watcher");
@@ -152,7 +145,7 @@ fn run_one(
 pub fn run(quick: bool) -> Report {
     let mut report = Report::new(
         "geo",
-        "WAN propagation: delta shipping + event-driven senders vs full re-offer",
+        "WAN propagation: delta shipping + event-driven senders on a lossy WAN",
         vec![
             "committed/s".into(),
             "WAN B/rec".into(),
@@ -171,26 +164,21 @@ pub fn run(quick: bool) -> Report {
 
     let mut last_metrics = None;
     for &ms in intervals {
-        for delta in [false, true] {
-            let policy = if delta { "delta" } else { "full" };
-            let (r, metrics) = run_one(delta, Duration::from_millis(ms), records, rate);
-            if delta {
-                // The artifact the CI job uploads: the delta-policy run's
-                // full registry, chariots.wan.* counters included.
-                last_metrics = Some(metrics);
-            }
-            report.row(
-                format!("{policy} interval={ms}ms"),
-                vec![
-                    r.committed_per_s,
-                    r.wan_bytes_per_record,
-                    r.dup_ratio,
-                    r.vis_p50_ms,
-                    r.vis_p99_ms,
-                    r.retransmits,
-                ],
-            );
-        }
+        let (r, metrics) = run_one(Duration::from_millis(ms), records, rate);
+        // The artifact `--metrics-out` writes: the last run's full
+        // registry, chariots.wan.* counters included.
+        last_metrics = Some(metrics);
+        report.row(
+            format!("delta interval={ms}ms"),
+            vec![
+                r.committed_per_s,
+                r.wan_bytes_per_record,
+                r.dup_ratio,
+                r.vis_p50_ms,
+                r.vis_p99_ms,
+                r.retransmits,
+            ],
+        );
     }
 
     report.note(format!(
@@ -202,57 +190,13 @@ pub fn run(quick: bool) -> Report {
          at DC 0 until DC 1's applied cut covers the record's TOId"
     ));
     report.note(
-        "full re-offers the peer's entire unacknowledged window every \
-         interval, so its WAN bytes and filter duplicates grow with the \
-         in-flight window; delta ships each record once per healthy peer \
-         and re-offers only after a retransmit_timeout stall, with \
-         event-driven rounds keeping visibility flat as the heartbeat \
-         interval grows",
+        "each record ships once per healthy peer and is re-offered only \
+         after a retransmit_timeout stall, so duplicates and retransmits \
+         track the WAN's loss, not the in-flight window; event-driven \
+         rounds keep visibility flat as the heartbeat interval grows",
     );
     if let Some(m) = last_metrics {
         report.attach_metrics(m);
     }
     report
-}
-
-/// Smoke gate for CI: delta shipping must cut WAN bytes per committed
-/// record and the destination-filter duplicate ratio versus the full
-/// re-offer baseline at the same interval, without losing committed
-/// throughput or median visibility.
-///
-/// The floors are lenient — smoke runs are short and share CI machines —
-/// and exist to catch the delta path regressing to re-offer behavior, not
-/// to benchmark the runner.
-pub fn verify_smoke(report: &Report) -> Result<(), String> {
-    let find = |needle: &str| -> Option<&crate::report::Row> {
-        report.rows.iter().find(|r| r.label.starts_with(needle))
-    };
-    let full = find("full interval=").ok_or("missing full-policy row")?;
-    let delta = find("delta interval=").ok_or("missing delta-policy row")?;
-
-    if full.values[0] <= 0.0 || delta.values[0] <= 0.0 {
-        return Err("a run committed no records".into());
-    }
-    let (full_bpr, delta_bpr) = (full.values[1], delta.values[1]);
-    if delta_bpr >= full_bpr * 0.7 {
-        return Err(format!(
-            "delta shipped {delta_bpr:.0} WAN B/rec vs full {full_bpr:.0} — \
-             expected at least a 30% cut"
-        ));
-    }
-    let (full_dup, delta_dup) = (full.values[2], delta.values[2]);
-    if delta_dup > full_dup {
-        return Err(format!(
-            "delta duplicate ratio {delta_dup:.3} exceeds full {full_dup:.3} — \
-             cursors are re-offering records the peer already has"
-        ));
-    }
-    let (full_p50, delta_p50) = (full.values[3], delta.values[3]);
-    if delta_p50 > full_p50 * 1.5 + 2.0 {
-        return Err(format!(
-            "delta visibility p50 {delta_p50:.1}ms vs full {full_p50:.1}ms — \
-             event-driven rounds should not cost median latency"
-        ));
-    }
-    Ok(())
 }

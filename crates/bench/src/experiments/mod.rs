@@ -7,7 +7,6 @@ pub mod apps;
 pub mod availability;
 pub mod baseline;
 pub mod batching;
-pub mod commitpath;
 pub mod elasticity;
 pub mod fig7;
 pub mod fig8;

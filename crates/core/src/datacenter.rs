@@ -96,10 +96,8 @@ pub struct ChariotsDc {
     queue_ingresses: Arc<RwLock<Vec<QueueIngress>>>,
     plan: Arc<RwLock<RoutingPlan>>,
     stations: StageStations,
-    /// The producer-side sender wakeup handed to late-added queues (a
-    /// detached signal when delta shipping is off, so the baseline stays
-    /// interval-driven).
-    producer_wakeup: Notify,
+    /// The senders' wakeup, handed to late-added queues too.
+    sender_wakeup: Notify,
     registry: MetricsRegistry,
     tracer: PipelineTracer,
     gc_floor: AtomicU64,
@@ -158,15 +156,8 @@ impl ChariotsDc {
 
         // The senders' wakeup: queues signal it when new local records are
         // routed, and nothing else does — a peer's gossip changes nothing a
-        // round would ship. With delta shipping off (the bench baseline,
-        // matching the original design), the queues get a *detached* signal
-        // so senders stay purely interval-driven.
+        // round would ship.
         let sender_wakeup = Notify::new();
-        let producer_wakeup = if cfg.sender_delta_shipping {
-            sender_wakeup.clone()
-        } else {
-            Notify::new()
-        };
 
         // Queues: each joins the token ring as it is spawned.
         let n_q = cfg.stages.queues;
@@ -187,7 +178,7 @@ impl ChariotsDc {
                     ring: queue_ring.clone(),
                     tracer: tracer.stage("queue"),
                     store_tracer: tracer.stage("store"),
-                    sender_wakeup: producer_wakeup.clone(),
+                    sender_wakeup: sender_wakeup.clone(),
                     health: StageHealth::registered(&registry, &prefix, &format!("queue{i}")),
                 },
                 station,
@@ -326,10 +317,7 @@ impl ChariotsDc {
                     Arc::clone(&atable),
                     peers.clone(),
                 )
-                .with_policy(cfg.sender_delta_shipping)
                 .with_retransmit_timeout(cfg.retransmit_timeout)
-                .with_max_chunk_bytes(cfg.max_propagation_bytes)
-                .with_cache_cap(cfg.sender_cache_max_records)
                 .with_metrics(wan_metrics.clone())
                 .with_health(SenderHealth::registered(
                     &registry,
@@ -369,7 +357,7 @@ impl ChariotsDc {
             queue_ingresses,
             plan,
             stations,
-            producer_wakeup,
+            sender_wakeup,
             registry,
             tracer,
             gc_floor: AtomicU64::new(0),
@@ -500,7 +488,7 @@ impl ChariotsDc {
                 ring: self.queue_ring.clone(),
                 tracer: self.tracer.stage("queue"),
                 store_tracer: self.tracer.stage("store"),
-                sender_wakeup: self.producer_wakeup.clone(),
+                sender_wakeup: self.sender_wakeup.clone(),
                 health: StageHealth::registered(&self.registry, &prefix, &format!("queue{idx}")),
             },
             station,

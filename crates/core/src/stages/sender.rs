@@ -67,6 +67,15 @@ use crate::message::PropagationMsg;
 const SEND_BATCH: usize = 512;
 /// How many entries a sender pulls from one maintainer per scan.
 const SCAN_BATCH: usize = 4096;
+/// Byte bound of one outgoing chunk (summed record wire sizes, alongside
+/// [`SEND_BATCH`]), so a catch-up burst after a partition heals cannot
+/// monopolize the WAN link.
+const MAX_CHUNK_BYTES: usize = 1 << 20;
+/// Cap of a sender's retransmission cache in records. A crashed or
+/// partitioned peer pins the cache's pruning bound; beyond this cap the
+/// oldest records are evicted and re-hydrated from the maintainers by point
+/// lookup if the stale peer recovers.
+const CACHE_MAX_RECORDS: usize = 131_072;
 /// After an event wakeup, how long the sender waits before scanning — the
 /// queue signals when it *routes* entries to the maintainers, a moment
 /// before they are applied and scannable; this grace absorbs that race so
@@ -235,8 +244,6 @@ pub struct SenderNode {
     /// WAN egress per peer: `peers[i] = (peer id, link sender)`.
     peers: Vec<(DatacenterId, LinkSender<PropagationMsg>)>,
     states: Vec<PeerState>,
-    /// `false` restores the seed's full re-offer policy (bench baseline).
-    delta_shipping: bool,
     retransmit_timeout: Duration,
     max_chunk_bytes: usize,
     cache_max_records: usize,
@@ -245,8 +252,8 @@ pub struct SenderNode {
 }
 
 impl SenderNode {
-    /// Creates the sender state with delta shipping on and default bounds;
-    /// tune with the `with_*` builders.
+    /// Creates the sender state with default bounds; tune with the `with_*`
+    /// builders.
     pub fn new(
         dc: DatacenterId,
         registry: Arc<RwLock<Vec<ReplicaGroupHandle>>>,
@@ -275,19 +282,12 @@ impl SenderNode {
             atable,
             peers,
             states,
-            delta_shipping: true,
             retransmit_timeout: Duration::from_millis(200),
-            max_chunk_bytes: 1 << 20,
-            cache_max_records: usize::MAX,
+            max_chunk_bytes: MAX_CHUNK_BYTES,
+            cache_max_records: CACHE_MAX_RECORDS,
             metrics: SenderMetrics::disabled(),
             health: SenderHealth::disabled(),
         }
-    }
-
-    /// Enables or disables delta shipping (`false` = full re-offer).
-    pub fn with_policy(mut self, delta_shipping: bool) -> Self {
-        self.delta_shipping = delta_shipping;
-        self
     }
 
     /// Sets the stalled-peer retransmission timeout.
@@ -367,9 +367,7 @@ impl SenderNode {
                 // Nothing outstanding — there is no stall to clock.
                 state.stalled_since = None;
             }
-            let start = if !self.delta_shipping {
-                known
-            } else if state.cursor > known
+            let start = if state.cursor > known
                 && state
                     .stalled_since
                     .is_some_and(|t| now.duration_since(t) >= self.retransmit_timeout)
@@ -948,31 +946,6 @@ mod tests {
         let msg = link_rx.recv_timeout(Duration::from_secs(1)).unwrap();
         let toids: Vec<TOId> = msg.records.iter().map(|r| r.toid()).collect();
         assert_eq!(toids, vec![TOId(2), TOId(3)], "in order, nothing skipped");
-        shutdown.signal();
-        for t in threads {
-            t.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn full_reoffer_policy_matches_seed_behavior() {
-        let (maintainer, shutdown, threads) = maintainer_with_local_records(3);
-        let atable = Arc::new(RwLock::new(ATable::new(2)));
-        let (link_tx, _link_rx, _h) = Link::spawn_simple::<PropagationMsg>(LinkConfig::default());
-        let mut node = SenderNode::new(
-            DatacenterId(0),
-            Arc::new(RwLock::new(vec![maintainer])),
-            0,
-            1,
-            atable,
-            vec![(DatacenterId(1), link_tx)],
-        )
-        .with_policy(false);
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(node.round(None), 3);
-        // No ack: the baseline re-offers the whole window every round.
-        assert_eq!(node.round(None), 3, "re-offered until acknowledged");
-        assert_eq!(node.round(None), 3);
         shutdown.signal();
         for t in threads {
             t.join().unwrap();

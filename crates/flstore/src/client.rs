@@ -166,6 +166,17 @@ impl EntryCache {
     }
 }
 
+/// How long a client serves `read_rule` from its cached Head of the Log
+/// before refreshing it with an RPC. The HL is monotonic, so a stale value
+/// is always a safe *lower* bound — the cache trades freshness (a record may
+/// become visible up to one TTL late) for one `head_of_log` round trip per
+/// rule. Override per client with [`FLStoreClient::with_hl_cache_ttl`].
+const HL_CACHE_TTL: Duration = Duration::from_millis(5);
+
+/// Capacity of a client's entry cache, in entries. Override per client with
+/// [`FLStoreClient::with_entry_cache_capacity`].
+const ENTRY_CACHE_CAPACITY: usize = 4096;
+
 /// A client session against one datacenter's FLStore.
 pub struct FLStoreClient {
     controller: Controller,
@@ -180,13 +191,11 @@ pub struct FLStoreClient {
 }
 
 impl FLStoreClient {
-    /// Opens a session via the controller. Cache settings and read
-    /// instruments come with the session (the deployment configures them
-    /// from [`FLStoreConfig`](chariots_types::FLStoreConfig)).
+    /// Opens a session via the controller, with both read caches at their
+    /// defaults (a 5 ms Head-of-Log TTL, 4096 cached entries). The read
+    /// instruments come with the session.
     pub fn connect(controller: &Controller) -> Self {
         let session = controller.session();
-        let hl_cache_ttl = session.hl_cache_ttl;
-        let entry_cache = EntryCache::new(session.read_cache_entries);
         let obs = session.read_obs.clone();
         FLStoreClient {
             controller: controller.clone(),
@@ -194,9 +203,9 @@ impl FLStoreClient {
             routing: AppendRouting::default(),
             retry: RetryPolicy::default(),
             rr_cursor: 0,
-            hl_cache_ttl,
+            hl_cache_ttl: HL_CACHE_TTL,
             hl_cache: None,
-            entry_cache,
+            entry_cache: EntryCache::new(ENTRY_CACHE_CAPACITY),
             obs,
         }
     }

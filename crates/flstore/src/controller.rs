@@ -8,7 +8,6 @@
 //! data path.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use chariots_simnet::Counter;
 use chariots_types::{ChariotsError, DatacenterId, Epoch, Generation, LId, MaintainerId, Result};
@@ -38,10 +37,6 @@ pub struct Session {
     pub journal: EpochJournal,
     /// Approximate number of records in the shared log at session start.
     pub approx_records: u64,
-    /// Head-of-Log cache TTL clients should use (`ZERO` disables).
-    pub hl_cache_ttl: Duration,
-    /// Entry-cache capacity clients should use (0 disables).
-    pub read_cache_entries: usize,
     /// Deployment-wide read-path instruments clients feed.
     pub read_obs: ReadObs,
 }
@@ -51,8 +46,6 @@ struct ControllerState {
     maintainers: Vec<ReplicaGroupHandle>,
     indexers: Vec<IndexerHandle>,
     journal: EpochJournal,
-    hl_cache_ttl: Duration,
-    read_cache_entries: usize,
     read_obs: ReadObs,
 }
 
@@ -73,23 +66,17 @@ impl Controller {
                 maintainers: Vec::new(),
                 indexers: Vec::new(),
                 journal: EpochJournal::new(initial),
-                hl_cache_ttl: Duration::ZERO,
-                read_cache_entries: 0,
                 read_obs: ReadObs::new(),
             })),
             appended: Counter::new(),
         }
     }
 
-    /// Configures the read-path settings handed out with sessions: the
-    /// Head-of-Log cache TTL, the entry-cache capacity, and the shared
-    /// read instruments. Raw controllers start with both caches off; the
-    /// deployment layer calls this from `FLStoreConfig`.
-    pub fn configure_reads(&self, hl_cache_ttl: Duration, read_cache_entries: usize, obs: ReadObs) {
-        let mut state = self.state.write();
-        state.hl_cache_ttl = hl_cache_ttl;
-        state.read_cache_entries = read_cache_entries;
-        state.read_obs = obs;
+    /// Sets the shared read instruments handed out with sessions. Raw
+    /// controllers start with detached ones; the deployment layer registers
+    /// its own.
+    pub fn set_read_obs(&self, obs: ReadObs) {
+        self.state.write().read_obs = obs;
     }
 
     /// Registers the deployment's maintainer replica groups.
@@ -137,8 +124,6 @@ impl Controller {
             indexers: state.indexers.clone(),
             journal: state.journal.clone(),
             approx_records: self.approx_records(),
-            hl_cache_ttl: state.hl_cache_ttl,
-            read_cache_entries: state.read_cache_entries,
             read_obs: state.read_obs.clone(),
         }
     }

@@ -67,11 +67,7 @@ impl FLStore {
         let controller = Controller::new(dc, initial);
         let prefix = format!("dc{}.flstore", dc.0);
         let registry = MetricsRegistry::new(prefix.clone());
-        controller.configure_reads(
-            cfg.hl_cache_ttl,
-            cfg.read_cache_entries,
-            ReadObs::registered(&registry, &prefix),
-        );
+        controller.set_read_obs(ReadObs::registered(&registry, &prefix));
         let fabric = Fabric::with_obs(FabricObs::registered(&registry, &prefix));
         let shutdown = Shutdown::new();
         let detector = if cfg.replication_factor > 1 {
@@ -123,15 +119,12 @@ impl FLStore {
         let mut raw = Vec::new();
         let batch = BatchPolicy {
             max_records: self.cfg.max_batch_records,
-            max_bytes: self.cfg.max_batch_bytes,
+            ..BatchPolicy::default()
         };
         for r in 0..replicas {
             let mut core = MaintainerCore::new(id, self.dc, self.controller.journal())
-                .with_max_deferred(self.cfg.max_deferred_appends)
                 .with_sync_policy(self.cfg.wal_sync_policy)
                 .with_wal_sync_counter(self.fabric.obs().wal_syncs.clone())
-                .with_wal_segment_bytes(self.cfg.wal_segment_bytes)
-                .with_compact_live_frac_milli(self.cfg.compact_live_frac_milli)
                 .with_checkpoint_interval(self.cfg.checkpoint_interval);
             if let Some(dir) = &self.persist_dir {
                 std::fs::create_dir_all(dir)
@@ -157,7 +150,6 @@ impl FLStore {
                 index: r,
                 detector: self.detector.clone(),
                 heartbeat_interval: self.cfg.heartbeat_interval,
-                commit_mode: self.cfg.commit_mode,
             };
             let (handle, thread) = spawn_replica(
                 core,

@@ -135,6 +135,11 @@ fn io_err(e: std::io::Error) -> ChariotsError {
 }
 
 /// Checkpoint file header: magic, version, reserved, body length, body CRC.
+/// Compaction threshold in thousandths: a GC sweep rewrites a sealed WAL
+/// segment without its dead frames once its estimated live ratio falls
+/// below this (fully dead segments are deleted either way).
+const COMPACT_LIVE_FRAC_MILLI: u32 = 500;
+
 const CKPT_MAGIC: [u8; 4] = *b"CCKP";
 const CKPT_VERSION: u16 = 1;
 const CKPT_HEADER_LEN: usize = 20;
@@ -267,7 +272,7 @@ pub struct MaintainerCore {
     /// `flstore.wal.sync.count`).
     wal_syncs: Counter,
     /// The frontier as of the last successful durability point; feeds the
-    /// pipelined-commit tracker and failover watermarks.
+    /// commit tracker and failover watermarks.
     durable: LId,
     /// Fault-injection hook: added latency paid inside every durability
     /// point (tests use it to widen the fsync window).
@@ -275,9 +280,6 @@ pub struct MaintainerCore {
     /// WAL segment rotation threshold; applied when `with_wal` opens the
     /// log, so it must be configured first.
     wal_segment_bytes: u64,
-    /// Compaction live-ratio threshold in thousandths (0 disables
-    /// rewrites; fully dead segments are still deleted).
-    compact_live_frac_milli: u32,
     /// Checkpoint cadence for [`MaintainerCore::maybe_checkpoint`];
     /// `Duration::ZERO` disables.
     checkpoint_interval: Duration,
@@ -326,7 +328,6 @@ impl MaintainerCore {
             durable: LId::ZERO,
             sync_delay: None,
             wal_segment_bytes: crate::wal::DEFAULT_SEGMENT_BYTES,
-            compact_live_frac_milli: 500,
             checkpoint_interval: Duration::ZERO,
             last_checkpoint: Instant::now(),
             cur_ckpt_seq: None,
@@ -379,13 +380,6 @@ impl MaintainerCore {
     /// [`MaintainerCore::with_wal`] to take effect.
     pub fn with_wal_segment_bytes(mut self, bytes: u64) -> Self {
         self.wal_segment_bytes = bytes.max(1);
-        self
-    }
-
-    /// Sets the compaction live-ratio threshold in thousandths (see
-    /// `FLStoreConfig::compact_live_frac`).
-    pub fn with_compact_live_frac_milli(mut self, milli: u32) -> Self {
-        self.compact_live_frac_milli = milli.min(1000);
         self
     }
 
@@ -898,9 +892,7 @@ impl MaintainerCore {
             _ => return None,
         };
         let mut wal = self.wal.take()?;
-        let result = wal.compact(bound, self.compact_live_frac_milli, |lid| {
-            self.lid_live(lid)
-        });
+        let result = wal.compact(bound, COMPACT_LIVE_FRAC_MILLI, |lid| self.lid_live(lid));
         self.wal = Some(wal);
         // Compaction itself is best-effort: a failed rewrite leaves the
         // original segment in place (tmp + rename).

@@ -6,11 +6,13 @@
 //! of records" made real): after the first blocking `recv`, the loop
 //! opportunistically drains further queued `Append`/`Store` requests into
 //! one batch bounded by [`BatchPolicy`], then pays one station admission,
-//! one generation capture, one application pass, one WAL flush+fsync
-//! (under the configured [`WalSyncPolicy`](chariots_types::WalSyncPolicy)),
-//! and one replication push per live backup — the pushed entries are a
-//! shared `Arc<[Entry]>`, never deep-cloned per backup — before fanning
-//! replies out to every waiter.
+//! one generation capture, one application pass, and one commit: the
+//! batch's shared `Arc<[Entry]>` goes to every live backup (never
+//! deep-cloned per backup), the primary pays one WAL flush+fsync (under the
+//! configured [`WalSyncPolicy`](chariots_types::WalSyncPolicy)) while those
+//! pushes are in flight, and the group's commit tracker fans replies out to
+//! every waiter once a quorum of the participating seats holds the batch
+//! durably. A primary with no live backup is a quorum of one.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,8 +23,8 @@ use chariots_simnet::{
     Notify, ReplyTo, ServiceStation, Shutdown, StageTracer, TcpSender, TransportMetrics,
 };
 use chariots_types::{
-    ChariotsError, CommitMode, Entry, Generation, LId, Limit, MaintainerId, Result, TOId, TagValue,
-    TraceId, ValuePredicate, Wire, WireReader,
+    ChariotsError, Entry, Generation, LId, Limit, MaintainerId, Result, TOId, TagValue, TraceId,
+    ValuePredicate, Wire, WireReader,
 };
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
@@ -31,7 +33,7 @@ use crate::indexer::{indexer_for, IndexerCore};
 use crate::maintainer::{AppendPayload, MaintainerCore, MaintainerStats};
 use crate::range::RangeMap;
 use crate::replication::commit::{
-    quorum_required, CommitOutcomeCtx, CommitWaiter, MAX_PENDING_COMMITS,
+    CommitOutcomeCtx, CommitWaiter, PendingCommit, MAX_PENDING_COMMITS,
 };
 use crate::replication::{GroupState, ReplicaCtx, ReplicaGroupHandle};
 
@@ -42,8 +44,9 @@ use crate::replication::{GroupState, ReplicaCtx, ReplicaGroupHandle};
 pub type AppendReplySender = ReplyTo<Result<Vec<(TOId, LId)>>>;
 
 /// Bounds on how many queued requests the node loop coalesces into one
-/// group-commit batch (config knobs `max_batch_records` /
-/// `max_batch_bytes`). A records bound of 1 disables coalescing.
+/// group-commit batch. Deployments set the records bound from the config
+/// knob `max_batch_records` (1 disables coalescing); the byte bound is a
+/// constant of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Maximum records (payloads + pre-routed entries) per batch.
@@ -97,11 +100,11 @@ pub enum MaintainerRequest {
         /// The sender's view of the group generation (fencing).
         generation: Generation,
         /// Replies with this replica's frontier after applying. `None` for
-        /// pipelined sends, which report through the commit tracker
+        /// commit-path pushes, which report through the commit tracker
         /// instead.
         reply: Option<Sender<Result<LId>>>,
-        /// Pipelined-commit sequence number to ack durability against
-        /// (`None` for synchronous anti-entropy/serial replication).
+        /// Commit sequence number to ack durability against (`None` for
+        /// synchronous anti-entropy repair).
         seq: Option<u64>,
     },
     /// Read one position.
@@ -344,12 +347,13 @@ impl MaintainerHandle {
     /// Append and wait for the assigned `(TOId, LId)` pairs.
     ///
     /// The reply arrives only after the whole group-commit batch this
-    /// request rode in has **committed**: applied locally, WAL-synced under
-    /// the configured policy, and acked by every live backup. The node may
-    /// coalesce this request with other queued `Append`/`Store` requests up
-    /// to the [`BatchPolicy`] bounds, which amortizes the fsync and the
-    /// replication round trip without changing the serial semantics — each
-    /// request still succeeds or fails on its own application outcome.
+    /// request rode in has **committed**: applied locally and durable
+    /// (WAL-synced under the configured policy) on a quorum of the group's
+    /// live replicas. The node may coalesce this request with other queued
+    /// `Append`/`Store` requests up to the [`BatchPolicy`] bounds, which
+    /// amortizes the fsync and the replication round trip without changing
+    /// the one-at-a-time semantics — each request still succeeds or fails
+    /// on its own application outcome.
     pub fn append(&self, payloads: Vec<AppendPayload>) -> Result<Vec<(TOId, LId)>> {
         self.station.note_arrival(payloads.len() as u64);
         let (reply, rx) = bounded(1);
@@ -402,7 +406,7 @@ impl MaintainerHandle {
         rx.recv().map_err(|_| ChariotsError::ShutDown)?
     }
 
-    /// Non-blocking replication push for the pipelined commit path: the
+    /// Non-blocking replication push of the commit path: the
     /// backup fsyncs the entries and reports durability for batch `seq`
     /// through the group's commit tracker instead of a reply channel.
     /// Returns `false` if the backup's channel is gone (counts as an
@@ -549,12 +553,13 @@ pub struct FabricObs {
     /// The primary's own WAL fsync leg of each commit, in µs.
     pub commit_fsync: Histogram,
     /// Commit time spent waiting on backup acks *after* the primary's own
-    /// durability point (the exposed, un-overlapped replication wait).
+    /// durability point (the exposed, un-overlapped replication wait);
+    /// sampled only for commits a backup participated in.
     pub commit_repl_wait: Histogram,
     /// Register-to-quorum latency of each acked batch, in µs.
     pub commit_quorum_latency: Histogram,
-    /// Cumulative µs of fsync/replication overlap the pipelined commit hid
-    /// versus a serial chain paying the two legs back to back.
+    /// Cumulative µs of fsync/replication overlap the commit hid versus
+    /// paying the two legs back to back (0 while no backup participates).
     pub commit_overlap_saved: Counter,
     /// Live WAL segment files across all maintainer cores.
     pub storage_segments: Gauge,
@@ -684,22 +689,6 @@ impl FabricObs {
     }
 }
 
-/// Pays one [`MaintainerCore::sync_batch`] durability point under the
-/// clock, reporting its duration and the core's remaining WAL backlog to
-/// the fabric's instruments. Returns the sync's wall-clock duration; a
-/// failed sync is additionally journalled as a
-/// [`WalSyncFailed`](EventKind::WalSyncFailed) covering the core's backlog.
-fn timed_sync_batch(core: &mut MaintainerCore, fabric: &Fabric) -> Result<Duration> {
-    let t0 = std::time::Instant::now();
-    let result = core.sync_batch();
-    let elapsed = t0.elapsed();
-    fabric.obs().note_wal_sync(elapsed, core.wal_backlog());
-    if result.is_err() {
-        fabric.obs().note_wal_sync_failed(core.wal_backlog() as u64);
-    }
-    result.map(|()| elapsed)
-}
-
 /// Wiring shared by all maintainers of one deployment: peer handles for
 /// gossip, indexer handles for tag postings, and observability instruments.
 /// Registered after spawn (the topology is cyclic).
@@ -809,15 +798,14 @@ pub fn spawn_maintainer(
 ///
 /// The node loop group-commits: after each blocking `recv` it drains
 /// further queued `Append`/`Store` requests into one batch (bounded by
-/// `batch`), pays a single station admission, generation capture, WAL
-/// flush+fsync, and replication push per live backup for the whole batch,
-/// then fans replies out. It also heartbeats the failure detector, gossips
-/// the group frontier every `gossip_interval` while acting primary, and
-/// posts tag information to the fabric's indexers. `appended` is the
+/// `batch`) and pays a single station admission, generation capture and
+/// commit for the whole batch. It also heartbeats the failure detector,
+/// gossips the group frontier every `gossip_interval` while acting primary,
+/// and posts tag information to the fabric's indexers. `appended` is the
 /// group-level record counter, bumped only by the acting primary.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_replica(
-    mut core: MaintainerCore,
+    core: MaintainerCore,
     station: Arc<ServiceStation>,
     fabric: Fabric,
     gossip_interval: Duration,
@@ -845,21 +833,12 @@ pub fn spawn_replica(
             ctx.index
         ))
         .spawn(move || {
-            maintainer_loop(
-                &mut core,
-                &rx,
-                &station,
-                &fabric,
-                gossip_interval,
-                &shutdown,
-                &appended,
-                &ctx,
-                batch,
-            );
-            // Nobody is left to ack this replica's in-flight pipelined
-            // batches: fail their waiters instead of letting them hang.
-            ctx.group.abort_pending(ChariotsError::ShutDown);
-            core
+            let mut replica = Replica::new(core, station, fabric, appended, ctx);
+            replica.run(&rx, gossip_interval, &shutdown, batch);
+            // Nobody is left to ack this replica's in-flight batches: fail
+            // their waiters instead of letting them hang.
+            replica.ctx.group.abort_pending(ChariotsError::ShutDown);
+            replica.core
         })
         .expect("spawn maintainer");
     (handle, thread)
@@ -873,212 +852,6 @@ pub(crate) fn collect_tag_postings(entries: &[Entry]) -> Vec<(String, Option<Tag
         }
     }
     out
-}
-
-/// Pushes `entries` to every live backup of the group, stamped with the
-/// generation captured when the batch was admitted. Called by the acting
-/// primary after it applies records locally; `Ok` means every live backup
-/// acked (synchronous replication — the client's ack happens after this).
-/// One RPC per backup per batch: each backup receives a clone of the same
-/// `Arc<[Entry]>`, so the entry payloads are never copied per backup.
-/// Backups whose machines are crashed are skipped (anti-entropy catches
-/// them up later); any other failure — fencing after a mid-flight
-/// deposition, overload — is propagated so the caller does NOT ack.
-fn replicate_to_backups(
-    ctx: &ReplicaCtx,
-    entries: &Arc<[Entry]>,
-    generation: Generation,
-) -> Result<()> {
-    if entries.is_empty() {
-        return Ok(());
-    }
-    let replicas = ctx.group.replicas();
-    if replicas.len() < 2 {
-        return Ok(());
-    }
-    for (i, replica) in replicas.iter().enumerate() {
-        if i == ctx.index || replica.station().is_crashed() {
-            continue;
-        }
-        if let Err(e) = replica.replicate(Arc::clone(entries), generation) {
-            // A backup that crashed in the window after the liveness check
-            // is treated like one that was already down; every other error
-            // means a live backup does not hold the records.
-            if replica.station().is_crashed() {
-                continue;
-            }
-            return Err(e);
-        }
-    }
-    Ok(())
-}
-
-/// The group's live backups from this replica's point of view:
-/// `(seat index, handle)` for every other replica whose machine is up.
-/// Crashed backups are excluded from the commit's participant set exactly
-/// as the serial path skips them (anti-entropy catches them up later).
-fn live_backups(ctx: &ReplicaCtx) -> Vec<(usize, MaintainerHandle)> {
-    ctx.group
-        .replicas()
-        .into_iter()
-        .enumerate()
-        .filter(|(i, r)| *i != ctx.index && !r.station().is_crashed())
-        .collect()
-}
-
-/// The pipelined commit: ship the batch's shared `Arc<[Entry]>` to every
-/// live backup *first* (non-blocking), pay the primary's own WAL fsync
-/// while those RPCs are in flight, and let the group's
-/// [`CommitTracker`](crate::replication::commit::CommitTracker) resolve
-/// the batch — fanning replies out — the moment f+1 seats report
-/// it durable. Whichever seat's ack completes the quorum runs the
-/// completion, so the ack can land before the primary's fsync returns.
-///
-/// `pay_fsync` is `false` for drained-waiter flushes, whose durability
-/// point was already paid before registration (the primary then enrolls
-/// as already-durable).
-#[allow(clippy::too_many_arguments)]
-fn pipelined_commit(
-    core: &mut MaintainerCore,
-    ctx: &ReplicaCtx,
-    fabric: &Fabric,
-    generation: Generation,
-    share: Arc<[Entry]>,
-    waiters: Vec<CommitWaiter>,
-    drained_records: u64,
-    outcome_ctx: CommitOutcomeCtx,
-    backups: &[(usize, MaintainerHandle)],
-    quorum_wait: &mut Notify,
-    pay_fsync: bool,
-) {
-    let tracker = ctx.group.commit();
-    // Backpressure: bound the batches in flight awaiting quorum so a slow
-    // backup cannot let the tracker grow without bound.
-    while tracker.pending() >= MAX_PENDING_COMMITS {
-        quorum_wait.wait_timeout(Duration::from_millis(1));
-    }
-    let mut participants = 1u64 << ctx.index;
-    for (i, _) in backups {
-        participants |= 1u64 << *i;
-    }
-    let required = quorum_required(
-        ctx.group.replica_count(),
-        participants.count_ones() as usize,
-    );
-    let seq = tracker.register(
-        generation,
-        ctx.index,
-        participants,
-        required,
-        Arc::clone(&share),
-        waiters,
-        drained_records,
-        outcome_ctx,
-    );
-    // Backups first — their fsyncs overlap the primary's below.
-    for (i, backup) in backups {
-        if !backup.replicate_async(Arc::clone(&share), generation, seq) {
-            ctx.group.report_commit_failure(*i, seq);
-        }
-    }
-    if pay_fsync {
-        match timed_sync_batch(core, fabric) {
-            Ok(elapsed) => {
-                let fsync_us = elapsed.as_micros() as u64;
-                fabric.obs().commit_fsync.record(fsync_us);
-                ctx.group
-                    .report_primary_durable(ctx.index, seq, fsync_us, core.durable_frontier());
-            }
-            Err(_) => ctx.group.report_commit_failure(ctx.index, seq),
-        }
-    } else {
-        ctx.group
-            .report_primary_durable(ctx.index, seq, 0, core.durable_frontier());
-    }
-}
-
-/// The error a deposed (or never-primary) replica answers assignment
-/// requests with: the client should refresh and re-route.
-fn fenced(group: MaintainerId, ctx: &ReplicaCtx) -> ChariotsError {
-    let current = ctx.group.generation();
-    ChariotsError::Fenced {
-        group,
-        // The best stale stamp this replica can name is the generation
-        // preceding the current one (it has not acted under `current`).
-        sent: Generation(current.as_u64().saturating_sub(1)),
-        current,
-    }
-}
-
-/// Replicates any min-bound waiters drained outside a group-commit batch
-/// (gossip ticks and min-bound serves; batch serves fold drained entries
-/// into the batch's own push). The drained entries come straight from the
-/// core — no store re-reads — and ride one shared-`Arc` push per backup.
-/// Best-effort: the waiters were acked as *parked*, not as committed, so a
-/// shortfall here — including a failed local durability point, after which
-/// the entries must not be pushed at all — is left to anti-entropy repair
-/// rather than failing the current request, but every abandoned entry is
-/// counted on `flstore.replication.dropped` so the shortfall is visible.
-fn replicate_drained(
-    core: &mut MaintainerCore,
-    ctx: &ReplicaCtx,
-    fabric: &Fabric,
-    appended: &Counter,
-    quorum_wait: &mut Notify,
-) {
-    let drained = core.take_drained();
-    if drained.is_empty() {
-        return;
-    }
-    let n = drained.len() as u64;
-    // Drained entries were applied (and WAL-appended) after the last batch
-    // commit point; give them their own durability point before pushing. A
-    // failed sync means they are NOT durable locally — abandon the push to
-    // anti-entropy rather than replicate records a restart would lose.
-    if timed_sync_batch(core, fabric).is_err() {
-        fabric.obs().replication_dropped.add(n);
-        return;
-    }
-    let entries: Arc<[Entry]> = drained.into();
-    let Some(generation) = ctx.group.primary_generation(ctx.index) else {
-        fabric.obs().replication_dropped.add(n);
-        return;
-    };
-    ctx.group.note_durable(ctx.index, core.durable_frontier());
-    let backups = live_backups(ctx);
-    if ctx.commit_mode == CommitMode::PipelinedQuorum && !backups.is_empty() {
-        // Background flush: ride the pipelined path (the fsync above
-        // already made the primary durable), but keep it out of the
-        // ack-path commit metrics.
-        let outcome_ctx = CommitOutcomeCtx {
-            fabric: fabric.clone(),
-            appended: appended.clone(),
-            total_records: 0,
-            total_bytes: 0,
-            had_appends: false,
-            had_stores: false,
-            post_share_tags: false,
-            measured: false,
-            started: std::time::Instant::now(),
-        };
-        pipelined_commit(
-            core,
-            ctx,
-            fabric,
-            generation,
-            entries,
-            Vec::new(),
-            n,
-            outcome_ctx,
-            &backups,
-            quorum_wait,
-            false,
-        );
-        return;
-    }
-    if replicate_to_backups(ctx, &entries, generation).is_err() {
-        fabric.obs().replication_dropped.add(n);
-    }
 }
 
 /// One request's worth of coalescable work inside a group-commit batch,
@@ -1128,732 +901,626 @@ fn coalesce(req: MaintainerRequest) -> std::result::Result<BatchItem, Maintainer
     }
 }
 
-/// The outcome of applying one batch item, held until the batch commits so
-/// replies can be fanned out afterwards.
-enum AppliedItem {
-    /// Append applied; `assigned` are the built entries awaiting commit.
-    Append {
-        assigned: Vec<Entry>,
-        reply: Option<AppendReplySender>,
-    },
-    /// Append failed on its own (e.g. no assignable positions); the error
-    /// is delivered regardless of how the rest of the batch fares.
-    AppendFailed {
-        err: ChariotsError,
-        reply: Option<AppendReplySender>,
-    },
-    /// Store applied; the entries await commit (they have no reply channel,
-    /// but a failed commit queues them for re-replication).
-    Store { entries: Vec<Entry> },
-    /// Store failed on its own (bad routing); nothing to commit or reply.
-    StoreFailed,
+/// Pays one [`MaintainerCore::sync_batch`] durability point under the
+/// clock, reporting its duration and the core's remaining WAL backlog to
+/// the fabric's instruments. Returns the sync's wall-clock duration; a
+/// failed sync is additionally journalled as a
+/// [`WalSyncFailed`](EventKind::WalSyncFailed) covering the core's backlog.
+fn timed_sync_batch(core: &mut MaintainerCore, fabric: &Fabric) -> Result<Duration> {
+    let t0 = std::time::Instant::now();
+    let result = core.sync_batch();
+    let elapsed = t0.elapsed();
+    fabric.obs().note_wal_sync(elapsed, core.wal_backlog());
+    if result.is_err() {
+        fabric.obs().note_wal_sync_failed(core.wal_backlog() as u64);
+    }
+    result.map(|()| elapsed)
 }
 
-/// Serves one coalesced batch end to end: one station admission, one
-/// generation capture, one application pass in arrival order, one WAL
-/// sync ([`MaintainerCore::sync_batch`]), one shared-`Arc` replication push
-/// per live backup, then reply fan-out. Min-bound waiters drained by the
-/// batch's appends commit (and replicate) with the batch.
-///
-/// Per-item application failures only fail that item; admission, fencing,
-/// durability, and replication failures fail the **whole batch** — no
-/// partial acks under a deposed generation.
-#[allow(clippy::too_many_arguments)]
-fn serve_batch(
-    core: &mut MaintainerCore,
-    batch: Vec<BatchItem>,
-    station: &ServiceStation,
-    fabric: &Fabric,
-    appended: &Counter,
-    crash_buffer: &mut Vec<Entry>,
-    pending_replication: &mut Vec<Entry>,
-    ctx: &ReplicaCtx,
-    quorum_wait: &mut Notify,
-) {
-    let total_records: usize = batch.iter().map(BatchItem::records).sum();
-    let total_bytes: usize = batch.iter().map(BatchItem::bytes).sum();
+/// One replica's serving state: the core it wraps, its seat in the group,
+/// and what its loop carries from one request to the next.
+struct Replica {
+    core: MaintainerCore,
+    station: Arc<ServiceStation>,
+    fabric: Fabric,
+    /// The group-level record counter.
+    appended: Counter,
+    ctx: ReplicaCtx,
+    /// Wakeup for commit backpressure: signalled whenever a batch leaves
+    /// the group's commit tracker.
+    quorum_wait: Notify,
+    /// Pre-routed entries that arrived while the machine was crashed: their
+    /// positions are already committed by the queues' token, so they must
+    /// not be lost — a real deployment recovers them from the WAL or a
+    /// re-send; we hold them until recovery.
+    crash_buffer: Vec<Entry>,
+}
 
-    // Admission: one station pass for the whole batch.
-    if let Err(e) = station.serve(total_records as u64) {
-        for item in batch {
-            match item {
-                // Crashed: the appends are lost, as they would be on a
-                // machine that died with them in its socket buffer.
-                BatchItem::Append { reply, .. } => {
-                    if let Some(reply) = reply {
-                        let _ = reply.send(Err(e.clone()));
-                    }
-                }
-                // Stores are already committed upstream by the queues'
-                // token — park them for recovery instead of losing them.
-                BatchItem::Store { entries } => crash_buffer.extend(entries),
-            }
-        }
-        return;
-    }
-
-    // One generation capture *after* station pacing (a primary deposed
-    // while stalled in serve must not assign). Everything below is stamped
-    // with it, so a deposition mid-flight is fenced by the backups instead
-    // of silently acked.
-    let Some(generation) = ctx.group.primary_generation(ctx.index) else {
-        for item in batch {
-            match item {
-                // Only the primary assigns positions; fence appends so the
-                // client refreshes its routing toward the new primary.
-                BatchItem::Append { reply, .. } => {
-                    if let Some(reply) = reply {
-                        let _ = reply.send(Err(fenced(core.id(), ctx)));
-                    }
-                }
-                // Routed here because the primary's machine is down (or a
-                // stale route). Relay to a live primary when there is one;
-                // otherwise persist locally so the positions survive until
-                // this replica (or a repaired peer) is promoted.
-                BatchItem::Store { entries } => match ctx.group.primary_handle() {
-                    Some(primary) if !primary.station().is_crashed() => {
-                        primary.store(entries);
-                    }
-                    _ => {
-                        let _ = core.replicate_entries(&entries);
-                    }
-                },
-            }
-        }
-        return;
-    };
-
-    let t0 = std::time::Instant::now();
-    let mut had_appends = false;
-    let mut had_stores = false;
-
-    // Application pass, in arrival order. Each item succeeds or fails on
-    // its own (serial equivalence); failures drop out of the commit set.
-    let mut applied = Vec::with_capacity(batch.len());
-    let mut committed: Vec<Entry> = Vec::with_capacity(total_records);
-    for item in batch {
-        match item {
-            BatchItem::Append { payloads, reply } => {
-                had_appends = true;
-                match core.append_batch(payloads) {
-                    Ok(assigned) => {
-                        committed.extend_from_slice(&assigned);
-                        applied.push(AppliedItem::Append { assigned, reply });
-                    }
-                    Err(err) => applied.push(AppliedItem::AppendFailed { err, reply }),
-                }
-            }
-            BatchItem::Store { entries } => {
-                had_stores = true;
-                match core.store_entries(entries.clone()) {
-                    Ok(()) => {
-                        committed.extend_from_slice(&entries);
-                        applied.push(AppliedItem::Store { entries });
-                    }
-                    Err(_) => applied.push(AppliedItem::StoreFailed),
-                }
-            }
+impl Replica {
+    fn new(
+        core: MaintainerCore,
+        station: Arc<ServiceStation>,
+        fabric: Fabric,
+        appended: Counter,
+        ctx: ReplicaCtx,
+    ) -> Self {
+        Replica {
+            quorum_wait: ctx.group.commit().subscribe(),
+            core,
+            station,
+            fabric,
+            appended,
+            ctx,
+            crash_buffer: Vec::new(),
         }
     }
-    // Min-bound waiters drained by this batch's appends commit with it:
-    // same WAL sync, same replication push.
-    let drained = core.take_drained();
-    let drained_count = drained.len();
-    committed.extend(drained);
 
-    // Commit. Pipelined (the default with live backups): register the
-    // batch with the group's commit tracker, ship the shared `Arc` to the
-    // backups first, pay the primary's fsync while those RPCs are in
-    // flight, and let the tracker ack at f+1 durable copies — replies fan
-    // out from whichever seat completes the quorum, so this function
-    // returns before the batch is acked.
-    let share: Arc<[Entry]> = committed.into();
-    let backups = live_backups(ctx);
-    if !share.is_empty() && ctx.commit_mode == CommitMode::PipelinedQuorum && !backups.is_empty() {
-        let waiters = applied
+    /// The generation under which this replica is the acting primary, if
+    /// it is.
+    fn primary_generation(&self) -> Option<Generation> {
+        self.ctx.group.primary_generation(self.ctx.index)
+    }
+
+    /// The error a deposed (or never-primary) replica answers assignment
+    /// requests with: the client should refresh and re-route.
+    fn fenced(&self) -> ChariotsError {
+        let current = self.ctx.group.generation();
+        ChariotsError::Fenced {
+            group: self.core.id(),
+            // The best stale stamp this replica can name is the generation
+            // preceding the current one (it has not acted under `current`).
+            sent: Generation(current.as_u64().saturating_sub(1)),
+            current,
+        }
+    }
+
+    /// A commit context with no batch-level facts (see
+    /// [`CommitOutcomeCtx::new`]).
+    fn outcome_ctx(&self, measured: bool) -> CommitOutcomeCtx {
+        CommitOutcomeCtx::new(&self.fabric, &self.appended, measured)
+    }
+
+    /// The commit — the one durability point every record applied at an
+    /// acting primary goes through. Registers the batch with the group's
+    /// [`CommitTracker`](crate::replication::commit::CommitTracker), ships
+    /// its shared `Arc<[Entry]>` to every live backup *first*
+    /// (non-blocking; a crashed backup is left out, anti-entropy catches it
+    /// up later), pays the primary's own WAL fsync while those RPCs are in
+    /// flight, and lets the tracker resolve the batch — generation
+    /// re-check, then reply fan-out — the moment f+1 of the participating
+    /// seats report it durable. Whichever seat's ack completes the quorum
+    /// runs the completion, so with live backups this may return before
+    /// the batch is acked.
+    ///
+    /// The participants are {primary} ∪ live backups, so a solo group, an
+    /// `rf = 1` deployment and a group whose backups are all down are a
+    /// quorum of one: the primary's own durability report resolves the
+    /// batch inline, before this returns. There a failed fsync reaches the
+    /// waiters as that fsync's own `Storage` error, not as `QuorumLost` —
+    /// clients treat the latter as transient and would re-append records
+    /// this maintainer has already applied.
+    ///
+    /// An empty `share` (every item of the batch failed on its own)
+    /// completes on the spot: nothing to register, fsync or ship, each
+    /// waiter just gets its own error.
+    fn commit(
+        &mut self,
+        generation: Generation,
+        share: Arc<[Entry]>,
+        waiters: Vec<CommitWaiter>,
+        drained_records: u64,
+        outcome_ctx: CommitOutcomeCtx,
+    ) {
+        let measured = outcome_ctx.measured;
+        let seat = self.ctx.index;
+        let mut batch = PendingCommit::new(
+            generation,
+            seat,
+            Arc::clone(&share),
+            waiters,
+            drained_records,
+            outcome_ctx,
+        );
+        if share.is_empty() {
+            batch.complete(Ok(()));
+            return;
+        }
+        let group = &self.ctx.group;
+        let backups: Vec<(usize, MaintainerHandle)> = group
+            .replicas()
             .into_iter()
-            .filter_map(|item| match item {
-                AppliedItem::Append { assigned, reply } => Some(CommitWaiter::Append {
-                    ids: assigned.iter().map(|e| (e.record.toid(), e.lid)).collect(),
-                    count: assigned.len() as u64,
-                    reply,
-                }),
-                AppliedItem::AppendFailed { err, reply } => {
-                    Some(CommitWaiter::FailedAppend { err, reply })
-                }
-                AppliedItem::Store { entries } => Some(CommitWaiter::Store { entries }),
-                AppliedItem::StoreFailed => None,
-            })
+            .enumerate()
+            .filter(|(i, r)| *i != seat && !r.station().is_crashed())
             .collect();
+        batch.enroll_backups(backups.iter().map(|(i, _)| *i), group.replica_count());
+        // Backpressure: bound the batches in flight awaiting quorum so a
+        // slow backup cannot let the tracker grow without bound.
+        while group.commit().pending() >= MAX_PENDING_COMMITS {
+            self.quorum_wait.wait_timeout(Duration::from_millis(1));
+        }
+        let seq = group.commit().register(batch);
+        // Backups first — their fsyncs overlap the primary's below.
+        for (i, backup) in &backups {
+            if !backup.replicate_async(Arc::clone(&share), generation, seq) {
+                group.report_commit_failure(*i, seq, ChariotsError::ShutDown);
+            }
+        }
+        match timed_sync_batch(&mut self.core, &self.fabric) {
+            Ok(elapsed) => {
+                let fsync_us = elapsed.as_micros() as u64;
+                if measured {
+                    self.fabric.obs().commit_fsync.record(fsync_us);
+                }
+                group.report_primary_durable(seat, seq, fsync_us, self.core.durable_frontier());
+            }
+            Err(e) => group.report_commit_failure(seat, seq, e),
+        }
+    }
+
+    /// Commits any min-bound waiters drained outside a group-commit batch
+    /// (gossip ticks and min-bound serves; batch serves fold drained
+    /// entries into the batch's own commit). The drained entries come
+    /// straight from the core — no store re-reads. Best-effort: the waiters
+    /// were acked as *parked*, not as committed, so a shortfall here — a
+    /// failed durability point, a lost quorum, a deposition — is left to
+    /// anti-entropy repair rather than failing the current request, but
+    /// every abandoned entry is counted on `flstore.replication.dropped` so
+    /// the shortfall is visible. A background flush: it stays out of the
+    /// ack-path commit metrics.
+    fn commit_drained(&mut self) {
+        let drained = self.core.take_drained();
+        if drained.is_empty() {
+            return;
+        }
+        let n = drained.len() as u64;
+        match self.primary_generation() {
+            Some(generation) => {
+                let ctx = self.outcome_ctx(false);
+                self.commit(generation, drained.into(), Vec::new(), n, ctx)
+            }
+            None => self.fabric.obs().replication_dropped.add(n),
+        }
+    }
+
+    /// Re-homes pre-routed entries this group must not lose — their
+    /// positions were committed upstream by the queues' token — after an
+    /// outage or a failed commit. An acting primary applies them
+    /// (idempotently: `replicate_entries` overwrites, and leaves identical
+    /// copies alone) and commits them, counting them on success; a `Store`
+    /// stake in a commit that fails comes back through the tracker's
+    /// orphans. A deposed replica hands them to the current primary, which
+    /// skips whatever it already holds. Returns the entries when neither
+    /// was possible, for the next loop turn.
+    fn rehome_stores(&mut self, entries: Vec<Entry>) -> Vec<Entry> {
+        match self.primary_generation() {
+            Some(generation) => {
+                if self.core.replicate_entries(&entries).is_err() {
+                    return entries;
+                }
+                let ctx = self.outcome_ctx(false);
+                let share = entries.as_slice().into();
+                self.commit(
+                    generation,
+                    share,
+                    vec![CommitWaiter::Store { entries }],
+                    0,
+                    ctx,
+                );
+                Vec::new()
+            }
+            None => match self.ctx.group.primary_handle() {
+                Some(primary) if primary.store(entries.clone()) => Vec::new(),
+                _ => entries,
+            },
+        }
+    }
+
+    /// Serves one coalesced batch: one station admission, one generation
+    /// capture, one application pass in arrival order, then one
+    /// [`commit`](Self::commit) that every waiter's reply comes out of.
+    /// Min-bound waiters drained by the batch's appends commit with the
+    /// batch.
+    ///
+    /// Per-item application failures only fail that item; admission,
+    /// fencing, durability, and replication failures fail the **whole
+    /// batch** — no partial acks under a deposed generation.
+    fn serve_batch(&mut self, batch: Vec<BatchItem>) {
+        let total_records: usize = batch.iter().map(BatchItem::records).sum();
+        let total_bytes: usize = batch.iter().map(BatchItem::bytes).sum();
+
+        // Admission: one station pass for the whole batch.
+        if let Err(e) = self.station.serve(total_records as u64) {
+            for item in batch {
+                match item {
+                    // Crashed: the appends are lost, as they would be on a
+                    // machine that died with them in its socket buffer.
+                    BatchItem::Append { reply, .. } => {
+                        if let Some(reply) = reply {
+                            let _ = reply.send(Err(e.clone()));
+                        }
+                    }
+                    // Stores are already committed upstream by the queues'
+                    // token — park them for recovery instead of losing them.
+                    BatchItem::Store { entries } => self.crash_buffer.extend(entries),
+                }
+            }
+            return;
+        }
+
+        // One generation capture *after* station pacing (a primary deposed
+        // while stalled in serve must not assign). Everything below is
+        // stamped with it, so a deposition mid-flight is fenced by the
+        // backups instead of silently acked.
+        let Some(generation) = self.primary_generation() else {
+            for item in batch {
+                match item {
+                    // Only the primary assigns positions; fence appends so
+                    // the client refreshes its routing toward the new
+                    // primary.
+                    BatchItem::Append { reply, .. } => {
+                        if let Some(reply) = reply {
+                            let _ = reply.send(Err(self.fenced()));
+                        }
+                    }
+                    // Routed here because the primary's machine is down (or
+                    // a stale route). Relay to a live primary when there is
+                    // one; otherwise persist locally so the positions
+                    // survive until this replica (or a repaired peer) is
+                    // promoted.
+                    BatchItem::Store { entries } => match self.ctx.group.primary_handle() {
+                        Some(primary) if !primary.station().is_crashed() => {
+                            primary.store(entries);
+                        }
+                        _ => {
+                            let _ = self.core.replicate_entries(&entries);
+                        }
+                    },
+                }
+            }
+            return;
+        };
+
+        let t0 = std::time::Instant::now();
+        let mut had_appends = false;
+        let mut had_stores = false;
+
+        // Application pass, in arrival order. Each item succeeds or fails
+        // on its own; a failed append keeps its own error whatever the
+        // batch's outcome, a failed store (bad routing) has nothing to
+        // commit or reply.
+        let mut waiters = Vec::with_capacity(batch.len());
+        let mut committed: Vec<Entry> = Vec::with_capacity(total_records);
+        for item in batch {
+            match item {
+                BatchItem::Append { payloads, reply } => {
+                    had_appends = true;
+                    waiters.push(match self.core.append_batch(payloads) {
+                        Ok(assigned) => {
+                            let ids = assigned.iter().map(|e| (e.record.toid(), e.lid)).collect();
+                            committed.extend(assigned);
+                            CommitWaiter::Append { ids, reply }
+                        }
+                        Err(err) => CommitWaiter::FailedAppend { err, reply },
+                    });
+                }
+                BatchItem::Store { entries } => {
+                    had_stores = true;
+                    if self.core.store_entries(entries.clone()).is_ok() {
+                        committed.extend_from_slice(&entries);
+                        waiters.push(CommitWaiter::Store { entries });
+                    }
+                }
+            }
+        }
+        // Min-bound waiters drained by this batch's appends commit with it.
+        let drained = self.core.take_drained();
+        let drained_count = drained.len() as u64;
+        committed.extend(drained);
+
         let outcome_ctx = CommitOutcomeCtx {
-            fabric: fabric.clone(),
-            appended: appended.clone(),
             total_records: total_records as u64,
             total_bytes: total_bytes as u64,
             had_appends,
             had_stores,
-            post_share_tags: true,
-            measured: true,
             started: t0,
+            ..self.outcome_ctx(true)
         };
-        pipelined_commit(
-            core,
-            ctx,
-            fabric,
+        self.commit(
             generation,
-            share,
+            committed.into(),
             waiters,
-            drained_count as u64,
+            drained_count,
             outcome_ctx,
-            &backups,
-            quorum_wait,
-            true,
         );
-        return;
     }
 
-    // Serial commit (oracle mode, solo groups, or no live backup): the
-    // batch's single durability point, then one shared-`Arc` push per live
-    // backup, then the post-replication primacy re-check — a deposition
-    // anywhere in the window fails the whole batch (the promoted backup
-    // may resume assignment at these very positions, so acking any of it
-    // would admit duplicate LIds).
-    let commit = if share.is_empty() {
-        // Nothing committed (every item failed on its own): no durability
-        // point or replication push to pay for.
-        Ok(())
-    } else {
-        let obs = fabric.obs().clone();
-        let group_id = core.id();
-        (|| {
-            let fsync = timed_sync_batch(core, fabric)?;
-            let fsync_us = fsync.as_micros() as u64;
-            obs.commit_fsync.record(fsync_us);
-            ctx.group.note_durable(ctx.index, core.durable_frontier());
-            let repl0 = std::time::Instant::now();
-            replicate_to_backups(ctx, &share, generation)?;
-            if ctx.group.primary_generation(ctx.index) != Some(generation) {
-                return Err(ChariotsError::Fenced {
-                    group: group_id,
-                    sent: generation,
-                    current: ctx.group.generation(),
-                });
-            }
-            // The two legs ran back to back: the replication wait is fully
-            // exposed, and nothing was saved by overlap.
-            let repl_us = repl0.elapsed().as_micros() as u64;
-            obs.commit_repl_wait.record(repl_us);
-            obs.commit_quorum_latency.record(fsync_us + repl_us);
-            Ok(())
-        })()
-    };
-
-    match commit {
-        Ok(()) => {
-            let elapsed = t0.elapsed();
-            let obs = fabric.obs();
-            obs.batch_size.record(total_records as u64);
-            obs.batch_bytes.record(total_bytes as u64);
-            if had_appends {
-                obs.append_latency.record_duration(elapsed);
-            }
-            if had_stores {
-                obs.store_latency.record_duration(elapsed);
-            }
-            // Tag postings and trace stamps once per batch, for everything
-            // that committed (drained waiters included).
-            let traced: Vec<TraceId> = share.iter().filter_map(|e| e.record.trace).collect();
-            fabric.stamp_store_exits(&traced);
-            fabric.post_tags(collect_tag_postings(&share));
-            for item in applied {
-                match item {
-                    AppliedItem::Append { assigned, reply } => {
-                        appended.add(assigned.len() as u64);
-                        if let Some(reply) = reply {
-                            let ids = assigned
-                                .iter()
-                                .map(|e| (e.record.toid(), e.lid))
-                                .collect::<Vec<_>>();
-                            let _ = reply.send(Ok(ids));
-                        }
-                    }
-                    AppliedItem::AppendFailed { err, reply } => {
-                        if let Some(reply) = reply {
-                            let _ = reply.send(Err(err));
-                        }
-                    }
-                    AppliedItem::Store { entries } => {
-                        appended.add(entries.len() as u64);
-                    }
-                    AppliedItem::StoreFailed => {}
-                }
-            }
-        }
-        Err(commit_err) => {
-            for item in applied {
-                match item {
-                    // No partial acks: every append waiter in the batch
-                    // sees the commit failure, whatever its own item did.
-                    AppliedItem::Append { reply, .. } => {
-                        if let Some(reply) = reply {
-                            let _ = reply.send(Err(commit_err.clone()));
-                        }
-                    }
-                    AppliedItem::AppendFailed { err, reply } => {
-                        if let Some(reply) = reply {
-                            let _ = reply.send(Err(err));
-                        }
-                    }
-                    // Store positions are committed upstream: queue them
-                    // for re-replication / handover instead of dropping.
-                    AppliedItem::Store { entries } => pending_replication.extend(entries),
-                    AppliedItem::StoreFailed => {}
-                }
-            }
-            // Drained waiters were acked as *parked*; their shortfall is
-            // left to anti-entropy, but counted.
-            fabric.obs().replication_dropped.add(drained_count as u64);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn maintainer_loop(
-    core: &mut MaintainerCore,
-    rx: &Receiver<MaintainerRequest>,
-    station: &ServiceStation,
-    fabric: &Fabric,
-    gossip_interval: Duration,
-    shutdown: &Shutdown,
-    appended: &Counter,
-    ctx: &ReplicaCtx,
-    batch: BatchPolicy,
-) {
-    let mut last_gossip = std::time::Instant::now();
-    let mut last_heartbeat = std::time::Instant::now();
-    let heartbeat_key = ctx.key();
-    let mut was_primary = ctx.group.is_primary(ctx.index);
-    // Wakeup for pipelined-commit backpressure: signalled whenever a batch
-    // leaves the group's commit tracker.
-    let mut quorum_wait = ctx.group.commit().subscribe();
-    // Seed this seat's durable watermark: whatever the core holds now
-    // (fresh, or replayed from its WAL) is durable.
-    ctx.group.note_durable(ctx.index, core.durable_frontier());
-    // Pre-routed entries that arrived while the machine was crashed: their
-    // positions are already committed by the queues' token, so they must
-    // not be lost — a real deployment recovers them from the WAL or a
-    // re-send; we hold them until recovery.
-    let mut crash_buffer: Vec<Entry> = Vec::new();
-    // Entries this node applied and counted but failed to push to a live
-    // backup (or was deposed before it could): re-replicated — or handed to
-    // the current primary — each loop turn until the group holds them.
-    let mut pending_replication: Vec<Entry> = Vec::new();
-    loop {
-        if shutdown.is_signaled() {
-            return;
-        }
-        let req = match rx.recv_timeout(gossip_interval) {
-            Ok(r) => Some(r),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-
-        // Liveness: report to the failure detector while the machine is
-        // up. A crashed station stops beating, so silence accumulates and
-        // the detector suspects this replica after the suspicion timeout.
-        if let Some(detector) = &ctx.detector {
-            if !station.is_crashed() && last_heartbeat.elapsed() >= ctx.heartbeat_interval {
-                detector.heartbeat(&heartbeat_key);
-                last_heartbeat = std::time::Instant::now();
-            }
-        }
-
-        // Role change: a backup promoted to primary resumes self-assignment
-        // after the suffix it already replicated, instead of re-assigning
-        // positions the old primary handed out.
-        let is_primary = ctx.group.is_primary(ctx.index);
-        if is_primary && !was_primary {
-            core.resume_assignment();
-        }
-        was_primary = is_primary;
-
-        // Recovery: apply everything buffered during the outage first. The
-        // buffered positions are already committed by the queues' token, so
-        // every failure path puts them back for the next loop turn instead
-        // of dropping them.
-        if !crash_buffer.is_empty() && !station.is_crashed() {
-            let entries = std::mem::take(&mut crash_buffer);
-            let n = entries.len() as u64;
-            match ctx.group.primary_generation(ctx.index) {
-                Some(generation) => {
-                    // Re-applying is idempotent (`replicate_entries`
-                    // overwrites), so a retry after a partial failure
-                    // cannot be rejected as a duplicate.
-                    if station.serve(n).is_ok()
-                        && core.replicate_entries(&entries).is_ok()
-                        && core.sync_batch().is_ok()
-                    {
-                        let traced: Vec<TraceId> =
-                            entries.iter().filter_map(|e| e.record.trace).collect();
-                        appended.add(n);
-                        fabric.stamp_store_exits(&traced);
-                        fabric.post_tags(collect_tag_postings(&entries));
-                        let share: Arc<[Entry]> = entries.into();
-                        if replicate_to_backups(ctx, &share, generation).is_err() {
-                            pending_replication.extend(share.iter().cloned());
-                        }
-                    } else {
-                        crash_buffer = entries;
-                    }
-                }
-                // Deposed while down: the buffered positions belong to the
-                // current primary now — hand them over (it skips whatever
-                // it already holds).
-                None => match ctx.group.primary_handle() {
-                    Some(primary) if primary.store(entries.clone()) => {}
-                    _ => crash_buffer = entries,
-                },
-            }
-        }
-
-        // Store entries orphaned by failed pipelined batches (their
-        // completion may run on a backup's thread, which cannot reach this
-        // queue directly) join the re-replication queue here.
-        pending_replication.extend(ctx.group.commit().take_orphans());
-
-        // Re-replication of applied-but-unreplicated positions: keep
-        // pushing until every live backup holds them, or hand them to the
-        // new primary if this replica was deposed mid-flight.
-        if !pending_replication.is_empty() && !station.is_crashed() {
-            let entries = std::mem::take(&mut pending_replication);
-            match ctx.group.primary_generation(ctx.index) {
-                Some(generation) => {
-                    let share: Arc<[Entry]> = entries.into();
-                    if replicate_to_backups(ctx, &share, generation).is_err() {
-                        pending_replication.extend(share.iter().cloned());
-                    }
-                }
-                None => match ctx.group.primary_handle() {
-                    Some(primary) if primary.store(entries.clone()) => {}
-                    _ => pending_replication = entries,
-                },
-            }
-        }
-
-        if let Some(req) = req {
-            match coalesce(req) {
-                // Group commit: the first coalescable request opens a
-                // batch; keep draining the channel until a bound is hit, it
-                // runs dry, or a non-coalescable request shows up (which is
-                // then served right after the batch, preserving arrival
-                // order).
-                Ok(first) => {
-                    let mut followup = None;
-                    let mut records = first.records();
-                    let mut bytes = first.bytes();
-                    let mut items = vec![first];
-                    while records < batch.max_records && bytes < batch.max_bytes {
-                        match rx.try_recv() {
-                            Ok(next) => match coalesce(next) {
-                                Ok(item) => {
-                                    records += item.records();
-                                    bytes += item.bytes();
-                                    items.push(item);
-                                }
-                                Err(other) => {
-                                    followup = Some(other);
-                                    break;
-                                }
-                            },
-                            Err(_) => break,
-                        }
-                    }
-                    serve_batch(
-                        core,
-                        items,
-                        station,
-                        fabric,
-                        appended,
-                        &mut crash_buffer,
-                        &mut pending_replication,
-                        ctx,
-                        &mut quorum_wait,
-                    );
-                    if let Some(req) = followup {
-                        serve_request(
-                            core,
-                            req,
-                            station,
-                            fabric,
-                            appended,
-                            &mut crash_buffer,
-                            &mut pending_replication,
-                            ctx,
-                            &mut quorum_wait,
-                        );
-                    }
-                }
-                Err(other) => serve_request(
-                    core,
-                    other,
-                    station,
-                    fabric,
-                    appended,
-                    &mut crash_buffer,
-                    &mut pending_replication,
-                    ctx,
-                    &mut quorum_wait,
-                ),
-            }
-        }
-
-        // Periodic drain of parked min-bound records, plus gossip: only
-        // the acting primary speaks for the group; backups still refresh
-        // their own frontier so a promotion starts from an honest view.
-        if last_gossip.elapsed() >= gossip_interval {
-            last_gossip = std::time::Instant::now();
-            let _ = core.drain_deferred();
-            replicate_drained(core, ctx, fabric, appended, &mut quorum_wait);
-            ctx.group.note_durable(ctx.index, core.durable_frontier());
-            let (from, frontier) = core.gossip_out();
-            if is_primary {
-                fabric.gossip(from, frontier);
-                fabric.obs().note_gossip(core.head_of_log());
-            }
-            // Storage maintenance rides the same tick: an interval-gated
-            // checkpoint (O(delta) restarts) and fresh footprint gauges.
-            // A failed snapshot costs restart time, not correctness — the
-            // WAL still holds everything — so errors are not fatal here.
-            if let Ok(Some(info)) = core.maybe_checkpoint() {
-                fabric.obs().note_checkpoint(info);
-            }
-            fabric.obs().note_storage(core.storage_stats());
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_request(
-    core: &mut MaintainerCore,
-    req: MaintainerRequest,
-    station: &ServiceStation,
-    fabric: &Fabric,
-    appended: &Counter,
-    crash_buffer: &mut Vec<Entry>,
-    pending_replication: &mut Vec<Entry>,
-    ctx: &ReplicaCtx,
-    quorum_wait: &mut Notify,
-) {
-    match req {
-        // Append/Store normally enter through the loop's batch drain; a
-        // straggler routed here is just a batch of one.
-        MaintainerRequest::Append { payloads, reply } => serve_batch(
-            core,
-            vec![BatchItem::Append { payloads, reply }],
-            station,
-            fabric,
-            appended,
-            crash_buffer,
-            pending_replication,
-            ctx,
-            quorum_wait,
-        ),
-        MaintainerRequest::Store { entries } => serve_batch(
-            core,
-            vec![BatchItem::Store { entries }],
-            station,
-            fabric,
-            appended,
-            crash_buffer,
-            pending_replication,
-            ctx,
-            quorum_wait,
-        ),
-        MaintainerRequest::AppendMinBound {
-            payload,
-            min,
-            reply,
-        } => {
-            if let Err(e) = station.serve(1) {
-                let _ = reply.send(Err(e));
+    fn run(
+        &mut self,
+        rx: &Receiver<MaintainerRequest>,
+        gossip_interval: Duration,
+        shutdown: &Shutdown,
+        batch: BatchPolicy,
+    ) {
+        let mut last_gossip = std::time::Instant::now();
+        let mut last_heartbeat = std::time::Instant::now();
+        let heartbeat_key = self.ctx.key();
+        let seat = self.ctx.index;
+        let group = Arc::clone(&self.ctx.group);
+        let mut was_primary = group.is_primary(seat);
+        // Seed this seat's durable watermark: whatever the core holds now
+        // (fresh, or replayed from its WAL) is durable.
+        group.note_durable(seat, self.core.durable_frontier());
+        loop {
+            if shutdown.is_signaled() {
                 return;
             }
-            let Some(generation) = ctx.group.primary_generation(ctx.index) else {
-                let _ = reply.send(Err(fenced(core.id(), ctx)));
-                return;
+            let req = match rx.recv_timeout(gossip_interval) {
+                Ok(r) => Some(r),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return,
             };
-            match core.append_min_bound(payload, min) {
-                Ok(Some(entry)) => {
-                    let backups = live_backups(ctx);
-                    if ctx.commit_mode == CommitMode::PipelinedQuorum && !backups.is_empty() {
-                        // A one-entry pipelined batch: the MinBound waiter
-                        // replies and counts at quorum.
-                        let share: Arc<[Entry]> = vec![entry.clone()].into();
-                        let waiter = CommitWaiter::MinBound {
-                            id: Some((entry.record.toid(), entry.lid)),
-                            reply,
-                        };
-                        let outcome_ctx = CommitOutcomeCtx {
-                            fabric: fabric.clone(),
-                            appended: appended.clone(),
-                            total_records: 0,
-                            total_bytes: 0,
-                            had_appends: false,
-                            had_stores: false,
-                            post_share_tags: true,
-                            measured: true,
-                            started: std::time::Instant::now(),
-                        };
-                        pipelined_commit(
-                            core,
-                            ctx,
-                            fabric,
-                            generation,
-                            share,
-                            vec![waiter],
-                            0,
-                            outcome_ctx,
-                            &backups,
-                            quorum_wait,
-                            true,
-                        );
-                    } else {
-                        let group_id = core.id();
-                        let result = (|| {
-                            timed_sync_batch(core, fabric)?;
-                            ctx.group.note_durable(ctx.index, core.durable_frontier());
-                            let share: Arc<[Entry]> = vec![entry.clone()].into();
-                            replicate_to_backups(ctx, &share, generation)?;
-                            if ctx.group.primary_generation(ctx.index) != Some(generation) {
-                                return Err(ChariotsError::Fenced {
-                                    group: group_id,
-                                    sent: generation,
-                                    current: ctx.group.generation(),
-                                });
+
+            // Liveness: report to the failure detector while the machine is
+            // up. A crashed station stops beating, so silence accumulates
+            // and the detector suspects this replica after the suspicion
+            // timeout.
+            if let Some(detector) = &self.ctx.detector {
+                if !self.station.is_crashed()
+                    && last_heartbeat.elapsed() >= self.ctx.heartbeat_interval
+                {
+                    detector.heartbeat(&heartbeat_key);
+                    last_heartbeat = std::time::Instant::now();
+                }
+            }
+
+            // Role change: a backup promoted to primary resumes
+            // self-assignment after the suffix it already replicated,
+            // instead of re-assigning positions the old primary handed out.
+            let is_primary = group.is_primary(seat);
+            if is_primary && !was_primary {
+                self.core.resume_assignment();
+            }
+            was_primary = is_primary;
+
+            // Recovery: everything buffered during the outage goes first,
+            // once the station has admitted it. Every path that cannot
+            // place the entries puts them back for the next loop turn.
+            if !self.crash_buffer.is_empty() && !self.station.is_crashed() {
+                let entries = std::mem::take(&mut self.crash_buffer);
+                self.crash_buffer = if self.station.serve(entries.len() as u64).is_ok() {
+                    self.rehome_stores(entries)
+                } else {
+                    entries
+                };
+            }
+
+            // Failed commits (a lost quorum, a failed durability point, a
+            // deposition mid-flight) park their `Store` stakes with the
+            // tracker: committed upstream just the same, so whichever live
+            // replica's loop comes by re-homes them, and leaves with the
+            // tracker what it could not place.
+            if !self.station.is_crashed() {
+                let orphans = group.commit().take_orphans();
+                if !orphans.is_empty() {
+                    let unplaced = self.rehome_stores(orphans);
+                    group.commit().park_orphans(unplaced);
+                }
+            }
+
+            if let Some(req) = req {
+                match coalesce(req) {
+                    // Group commit: the first coalescable request opens a
+                    // batch; keep draining the channel until a bound is
+                    // hit, it runs dry, or a non-coalescable request shows
+                    // up (which is then served right after the batch,
+                    // preserving arrival order).
+                    Ok(first) => {
+                        let mut followup = None;
+                        let mut records = first.records();
+                        let mut bytes = first.bytes();
+                        let mut items = vec![first];
+                        while records < batch.max_records && bytes < batch.max_bytes {
+                            match rx.try_recv() {
+                                Ok(next) => match coalesce(next) {
+                                    Ok(item) => {
+                                        records += item.records();
+                                        bytes += item.bytes();
+                                        items.push(item);
+                                    }
+                                    Err(other) => {
+                                        followup = Some(other);
+                                        break;
+                                    }
+                                },
+                                Err(_) => break,
                             }
-                            appended.add(1);
-                            fabric.post_tags(collect_tag_postings(std::slice::from_ref(&entry)));
-                            Ok(Some((entry.record.toid(), entry.lid)))
-                        })();
-                        let _ = reply.send(result);
+                        }
+                        self.serve_batch(items);
+                        if let Some(req) = followup {
+                            self.serve_request(req);
+                        }
                     }
+                    Err(other) => self.serve_request(other),
                 }
-                Ok(None) => {
-                    let _ = reply.send(Ok(None));
+            }
+
+            // Periodic drain of parked min-bound records, plus gossip: only
+            // the acting primary speaks for the group; backups still
+            // refresh their own frontier so a promotion starts from an
+            // honest view.
+            if last_gossip.elapsed() >= gossip_interval {
+                last_gossip = std::time::Instant::now();
+                let _ = self.core.drain_deferred();
+                self.commit_drained();
+                group.note_durable(seat, self.core.durable_frontier());
+                let (from, frontier) = self.core.gossip_out();
+                let obs = self.fabric.obs();
+                if is_primary {
+                    self.fabric.gossip(from, frontier);
+                    obs.note_gossip(self.core.head_of_log());
                 }
-                Err(e) => {
+                // Storage maintenance rides the same tick: an
+                // interval-gated checkpoint (O(delta) restarts) and fresh
+                // footprint gauges. A failed snapshot costs restart time,
+                // not correctness — the WAL still holds everything — so
+                // errors are not fatal here.
+                if let Ok(Some(info)) = self.core.maybe_checkpoint() {
+                    obs.note_checkpoint(info);
+                }
+                obs.note_storage(self.core.storage_stats());
+            }
+        }
+    }
+
+    /// Serves one request the loop could not coalesce into a batch.
+    fn serve_request(&mut self, req: MaintainerRequest) {
+        match req {
+            MaintainerRequest::Append { .. } | MaintainerRequest::Store { .. } => {
+                unreachable!("appends and stores are coalesced into batches by the loop")
+            }
+            MaintainerRequest::AppendMinBound {
+                payload,
+                min,
+                reply,
+            } => {
+                if let Err(e) = self.station.serve(1) {
                     let _ = reply.send(Err(e));
+                    return;
                 }
-            }
-            replicate_drained(core, ctx, fabric, appended, quorum_wait);
-        }
-        MaintainerRequest::Replicate {
-            entries,
-            generation,
-            reply,
-            seq,
-        } => {
-            let n = entries.len() as u64;
-            let group_id = core.id();
-            // No counters, postings, or trace stamps here: the acting
-            // primary already accounted for these records. Backups group-
-            // commit too — one WAL sync per replicated batch, so a durable
-            // ack means the records survive this replica's crash.
-            let outcome = station
-                .serve(n)
-                .and_then(|()| {
-                    let current = ctx.group.generation();
-                    if generation < current {
-                        return Err(ChariotsError::Fenced {
-                            group: group_id,
-                            sent: generation,
-                            current,
-                        });
+                let Some(generation) = self.primary_generation() else {
+                    let _ = reply.send(Err(self.fenced()));
+                    return;
+                };
+                match self.core.append_min_bound(payload, min) {
+                    // A one-entry batch: the waiter replies and counts when
+                    // the commit resolves.
+                    Ok(Some(entry)) => {
+                        let id = Some((entry.record.toid(), entry.lid));
+                        let ctx = self.outcome_ctx(true);
+                        self.commit(
+                            generation,
+                            vec![entry].into(),
+                            vec![CommitWaiter::MinBound { id, reply }],
+                            0,
+                            ctx,
+                        );
                     }
-                    Ok(())
-                })
-                .and_then(|()| core.replicate_entries(&entries))
-                .and_then(|frontier| timed_sync_batch(core, fabric).map(|_| frontier));
-            if outcome.is_ok() {
-                // Raise this seat's durable watermark in both commit modes:
-                // failover promotes by it.
-                ctx.group.note_durable(ctx.index, core.durable_frontier());
-            }
-            match (reply, seq) {
-                // Synchronous caller (serial replication, anti-entropy).
-                (Some(reply), _) => {
-                    let _ = reply.send(outcome);
+                    Ok(None) => {
+                        let _ = reply.send(Ok(None));
+                    }
+                    Err(e) => {
+                        let _ = reply.send(Err(e));
+                    }
                 }
-                // Pipelined push: report durability to the commit tracker;
-                // whoever completes the quorum fans the batch's acks out.
-                (None, Some(seq)) => match outcome {
-                    Ok(_) => ctx
-                        .group
-                        .report_commit_ack(ctx.index, seq, core.durable_frontier()),
-                    Err(_) => ctx.group.report_commit_failure(ctx.index, seq),
-                },
-                (None, None) => {}
+                self.commit_drained();
             }
-        }
-        MaintainerRequest::Read {
-            lid,
-            enforce_hl,
-            reply,
-        } => {
-            let result = if station.is_crashed() {
-                Err(ChariotsError::Unavailable(format!(
-                    "maintainer {}",
-                    core.id()
-                )))
-            } else {
-                core.read(lid, enforce_hl)
-            };
-            let _ = reply.send(result);
-        }
-        MaintainerRequest::ReadBatch {
-            lids,
-            enforce_hl,
-            reply,
-        } => {
-            // Mirrors the single-read arm: a crashed machine refuses every
-            // position in the batch, not just some.
-            let result = if station.is_crashed() {
-                lids.iter()
-                    .map(|_| {
-                        Err(ChariotsError::Unavailable(format!(
-                            "maintainer {}",
-                            core.id()
-                        )))
+            MaintainerRequest::Replicate {
+                entries,
+                generation,
+                reply,
+                seq,
+            } => {
+                let n = entries.len() as u64;
+                let group = &self.ctx.group;
+                let seat = self.ctx.index;
+                // No counters, postings, or trace stamps here: the acting
+                // primary already accounted for these records. Backups
+                // group-commit too — one WAL sync per replicated batch, so
+                // a durable ack means the records survive this replica's
+                // crash.
+                let outcome = self
+                    .station
+                    .serve(n)
+                    .and_then(|()| {
+                        let current = group.generation();
+                        if generation < current {
+                            return Err(ChariotsError::Fenced {
+                                group: group.group(),
+                                sent: generation,
+                                current,
+                            });
+                        }
+                        Ok(())
                     })
-                    .collect()
-            } else {
-                core.read_many(&lids, enforce_hl)
-            };
-            let _ = reply.send(result);
-        }
-        MaintainerRequest::Scan { from, max, reply } => {
-            let _ = reply.send((core.stats().frontier, core.scan_from(from, max)));
-        }
-        MaintainerRequest::HeadOfLog { reply } => {
-            let _ = reply.send(core.head_of_log());
-        }
-        MaintainerRequest::GossipIn { from, frontier } => {
-            core.gossip_in(from, frontier);
-            let _ = core.drain_deferred();
-            replicate_drained(core, ctx, fabric, appended, quorum_wait);
-        }
-        MaintainerRequest::AnnounceEpoch { start, map } => {
-            core.announce_epoch(start, map);
-        }
-        MaintainerRequest::Gc { before } => {
-            if let Some(stats) = core.gc_before(before) {
-                fabric.obs().note_compaction(stats);
+                    .and_then(|()| self.core.replicate_entries(&entries))
+                    .and_then(|frontier| {
+                        timed_sync_batch(&mut self.core, &self.fabric).map(|_| frontier)
+                    });
+                if outcome.is_ok() {
+                    // Raise this seat's durable watermark: failover
+                    // promotes by it.
+                    group.note_durable(seat, self.core.durable_frontier());
+                }
+                match (reply, seq) {
+                    // Synchronous caller (anti-entropy repair).
+                    (Some(reply), _) => {
+                        let _ = reply.send(outcome);
+                    }
+                    // Commit-path push: report durability to the commit
+                    // tracker; whoever completes the quorum fans the
+                    // batch's acks out.
+                    (None, Some(seq)) => match outcome {
+                        Ok(_) => group.report_commit_ack(seat, seq, self.core.durable_frontier()),
+                        Err(e) => group.report_commit_failure(seat, seq, e),
+                    },
+                    (None, None) => {}
+                }
             }
-            fabric.obs().note_storage(core.storage_stats());
+            MaintainerRequest::Read {
+                lid,
+                enforce_hl,
+                reply,
+            } => {
+                let result = if self.station.is_crashed() {
+                    Err(self.unavailable())
+                } else {
+                    self.core.read(lid, enforce_hl)
+                };
+                let _ = reply.send(result);
+            }
+            MaintainerRequest::ReadBatch {
+                lids,
+                enforce_hl,
+                reply,
+            } => {
+                // Mirrors the single-read arm: a crashed machine refuses
+                // every position in the batch, not just some.
+                let result = if self.station.is_crashed() {
+                    lids.iter().map(|_| Err(self.unavailable())).collect()
+                } else {
+                    self.core.read_many(&lids, enforce_hl)
+                };
+                let _ = reply.send(result);
+            }
+            MaintainerRequest::Scan { from, max, reply } => {
+                let _ = reply.send((self.core.stats().frontier, self.core.scan_from(from, max)));
+            }
+            MaintainerRequest::HeadOfLog { reply } => {
+                let _ = reply.send(self.core.head_of_log());
+            }
+            MaintainerRequest::GossipIn { from, frontier } => {
+                self.core.gossip_in(from, frontier);
+                let _ = self.core.drain_deferred();
+                self.commit_drained();
+            }
+            MaintainerRequest::AnnounceEpoch { start, map } => {
+                self.core.announce_epoch(start, map);
+            }
+            MaintainerRequest::Gc { before } => {
+                if let Some(stats) = self.core.gc_before(before) {
+                    self.fabric.obs().note_compaction(stats);
+                }
+                self.fabric.obs().note_storage(self.core.storage_stats());
+            }
+            MaintainerRequest::Stats { reply } => {
+                let _ = reply.send(self.core.stats());
+            }
         }
-        MaintainerRequest::Stats { reply } => {
-            let _ = reply.send(core.stats());
-        }
+    }
+
+    /// What a crashed machine answers reads with.
+    fn unavailable(&self) -> ChariotsError {
+        ChariotsError::Unavailable(format!("maintainer {}", self.core.id()))
     }
 }
 
@@ -2120,8 +1787,40 @@ mod tests {
         ix_thread.join().unwrap();
     }
 
+    /// Seat `index` of `state`'s group, outside any deployment.
+    fn seat_ctx(state: &Arc<GroupState>, index: usize) -> ReplicaCtx {
+        ReplicaCtx {
+            index,
+            ..ReplicaCtx::solo(Arc::clone(state))
+        }
+    }
+
+    /// A replica at `ctx`'s seat wrapping `core`, for a test to serve on its
+    /// own thread in place of a spawned node loop.
+    fn driver(
+        core: MaintainerCore,
+        ctx: ReplicaCtx,
+        station: StationConfig,
+        fabric: &Fabric,
+        appended: &Counter,
+    ) -> Replica {
+        let station = Arc::new(ServiceStation::new("driver", station));
+        Replica::new(core, station, fabric.clone(), appended.clone(), ctx)
+    }
+
+    /// A closed-loop append item and the channel its reply arrives on.
+    fn append_item(body: &str) -> (BatchItem, Receiver<Result<Vec<(TOId, LId)>>>) {
+        let (tx, rx) = bounded(1);
+        let item = BatchItem::Append {
+            payloads: vec![payload(body)],
+            reply: Some(ReplyTo::local(tx)),
+        };
+        (item, rx)
+    }
+
     /// Spawns `n` replica node threads of group M0 and returns the pieces a
-    /// test needs to drive a batch against the group directly.
+    /// test needs to drive a batch against the group directly. The group's
+    /// `appended` counter comes back as the first handle's.
     fn launch_backups(
         n: usize,
     ) -> (
@@ -2145,20 +1844,13 @@ mod tests {
                 format!("m0-r{r}"),
                 StationConfig::uncapped(),
             ));
-            let ctx = ReplicaCtx {
-                group: Arc::clone(&state),
-                index: r,
-                detector: None,
-                heartbeat_interval: Duration::from_millis(5),
-                commit_mode: CommitMode::PipelinedQuorum,
-            };
             let (h, t) = spawn_replica(
                 core,
                 station,
                 fabric.clone(),
                 Duration::from_millis(50),
                 shutdown.clone(),
-                ctx,
+                seat_ctx(&state, r),
                 appended.clone(),
                 BatchPolicy::default(),
             );
@@ -2190,43 +1882,16 @@ mod tests {
         let (state, raw, fabric, shutdown, threads, journal) = launch_backups(3);
         // Drive a fresh seat-0 core through serve_batch directly so the
         // batch composition is exact (the spawned seat-0 node idles).
-        let mut core = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal.clone());
-        let station = ServiceStation::new("driver", StationConfig::uncapped());
+        let core = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal.clone());
         let appended = Counter::new();
-        let mut crash_buffer = Vec::new();
-        let mut pending_replication = Vec::new();
-        let ctx = ReplicaCtx {
-            group: Arc::clone(&state),
-            index: 0,
-            detector: None,
-            heartbeat_interval: Duration::from_millis(5),
-            commit_mode: CommitMode::PipelinedQuorum,
+        let (a, rx1) = append_item("a");
+        let (b, rx2) = append_item("b");
+        let store = BatchItem::Store {
+            entries: vec![stored_entry(5, "s")],
         };
-        let (tx1, rx1) = bounded(1);
-        let (tx2, rx2) = bounded(1);
-        serve_batch(
-            &mut core,
-            vec![
-                BatchItem::Append {
-                    payloads: vec![payload("a")],
-                    reply: Some(ReplyTo::local(tx1)),
-                },
-                BatchItem::Append {
-                    payloads: vec![payload("b")],
-                    reply: Some(ReplyTo::local(tx2)),
-                },
-                BatchItem::Store {
-                    entries: vec![stored_entry(5, "s")],
-                },
-            ],
-            &station,
-            &fabric,
-            &appended,
-            &mut crash_buffer,
-            &mut pending_replication,
-            &ctx,
-            &mut Notify::new(),
-        );
+        let uncapped = StationConfig::uncapped();
+        driver(core, seat_ctx(&state, 0), uncapped, &fabric, &appended)
+            .serve_batch(vec![a, b, store]);
         assert_eq!(rx1.recv().unwrap().unwrap(), vec![(TOId(1), LId(0))]);
         assert_eq!(rx2.recv().unwrap().unwrap(), vec![(TOId(2), LId(1))]);
         assert_eq!(appended.get(), 3);
@@ -2253,48 +1918,15 @@ mod tests {
     #[test]
     fn fencing_mid_batch_fails_every_item() {
         let (state, raw, fabric, shutdown, threads, journal) = launch_backups(2);
-        let mut core = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal.clone());
+        let core = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal.clone());
         // Rate-capped station: serving the 2-record batch blocks the driver
         // for ~200ms, a deterministic window to depose it in.
-        let station = ServiceStation::new("driver", StationConfig::with_rate(10.0));
+        let slow = StationConfig::with_rate(10.0);
         let appended = Counter::new();
-        let ctx = ReplicaCtx {
-            group: Arc::clone(&state),
-            index: 0,
-            detector: None,
-            heartbeat_interval: Duration::from_millis(5),
-            commit_mode: CommitMode::PipelinedQuorum,
-        };
-        let (tx1, rx1) = bounded(1);
-        let (tx2, rx2) = bounded(1);
-        let driver = {
-            let fabric = fabric.clone();
-            let appended = appended.clone();
-            std::thread::spawn(move || {
-                let mut crash_buffer = Vec::new();
-                let mut pending_replication = Vec::new();
-                serve_batch(
-                    &mut core,
-                    vec![
-                        BatchItem::Append {
-                            payloads: vec![payload("a")],
-                            reply: Some(ReplyTo::local(tx1)),
-                        },
-                        BatchItem::Append {
-                            payloads: vec![payload("b")],
-                            reply: Some(ReplyTo::local(tx2)),
-                        },
-                    ],
-                    &station,
-                    &fabric,
-                    &appended,
-                    &mut crash_buffer,
-                    &mut pending_replication,
-                    &ctx,
-                    &mut Notify::new(),
-                );
-            })
-        };
+        let mut replica = driver(core, seat_ctx(&state, 0), slow, &fabric, &appended);
+        let (a, rx1) = append_item("a");
+        let (b, rx2) = append_item("b");
+        let driver = std::thread::spawn(move || replica.serve_batch(vec![a, b]));
         // Depose seat 0 while the batch is still being served.
         std::thread::sleep(Duration::from_millis(50));
         state.promote(1);
@@ -2310,6 +1942,153 @@ mod tests {
         ));
         assert_eq!(appended.get(), 0, "no partial acks");
         assert_eq!(raw[1].replicate_rpc_counter().get(), 0);
+        shutdown.signal();
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    /// A lone primary is a quorum of one: its own durability report
+    /// resolves the batch on the serving thread, so the ack is out before
+    /// `serve_batch` returns and nothing stays in the tracker. With no
+    /// backup participating there was nothing to wait for or overlap.
+    #[test]
+    fn solo_append_is_acked_before_serve_batch_returns() {
+        let state = Arc::new(GroupState::new(MaintainerId(0)));
+        let journal = EpochJournal::new(RangeMap::new(1, 10));
+        let core = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal);
+        let fabric = Fabric::new();
+        let appended = Counter::new();
+        let (item, rx) = append_item("a");
+        let uncapped = StationConfig::uncapped();
+        driver(core, seat_ctx(&state, 0), uncapped, &fabric, &appended).serve_batch(vec![item]);
+        assert_eq!(rx.try_recv().unwrap().unwrap(), vec![(TOId(1), LId(0))]);
+        assert_eq!(state.commit().pending(), 0);
+        assert_eq!(appended.get(), 1);
+        let obs = fabric.obs();
+        assert_eq!(obs.commit_quorum_latency.count(), 1);
+        assert_eq!(obs.commit_repl_wait.count(), 0, "no backup to wait for");
+        assert_eq!(obs.commit_overlap_saved.get(), 0, "nothing overlapped");
+    }
+
+    /// A batch whose every item failed on its own has nothing to commit:
+    /// each append gets its own error, and no durability point is paid.
+    #[test]
+    fn all_items_failed_batch_pays_no_fsync() {
+        let dir = chariots_simnet::TestDir::new("chariots-node-emptyshare");
+        let state = Arc::new(GroupState::new(MaintainerId(1)));
+        // M1 is not part of a one-maintainer striping: it can assign
+        // nothing and owns no position.
+        let journal = EpochJournal::new(RangeMap::new(1, 10));
+        let core = MaintainerCore::new(MaintainerId(1), DatacenterId(0), journal)
+            .with_wal(dir.path().join("m1.wal"))
+            .unwrap();
+        let fabric = Fabric::new();
+        let appended = Counter::new();
+        let (a, rx1) = append_item("a");
+        let (b, rx2) = append_item("b");
+        let store = BatchItem::Store {
+            entries: vec![stored_entry(0, "not ours")],
+        };
+        let uncapped = StationConfig::uncapped();
+        let mut replica = driver(core, seat_ctx(&state, 0), uncapped, &fabric, &appended);
+        replica.serve_batch(vec![a, store, b]);
+        for rx in [rx1, rx2] {
+            assert!(matches!(
+                rx.try_recv().unwrap(),
+                Err(ChariotsError::Unavailable(_))
+            ));
+        }
+        assert_eq!(
+            replica.core.wal_syncs(),
+            0,
+            "nothing applied, nothing to fsync"
+        );
+        assert_eq!(state.commit().pending(), 0);
+        assert_eq!(appended.get(), 0);
+        assert_eq!(fabric.obs().commit_quorum_latency.count(), 0);
+    }
+
+    /// A promotion landing between a batch's registration and its primary's
+    /// durability report acks nothing: appenders see `Fenced`, and the
+    /// batch's `Store` entries — committed upstream — are parked as orphans
+    /// that the next loop turn re-homes onto the new primary.
+    #[test]
+    fn promotion_mid_commit_fences_appends_and_rehomes_stores() {
+        let (state, raw, fabric, shutdown, threads, journal) = launch_backups(2);
+        // The driven seat-0 core holds its fsync open for 200ms: the batch
+        // is registered and shipped, but not yet durable on the primary.
+        let core = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal.clone())
+            .with_sync_delay(Duration::from_millis(200));
+        let appended = raw[0].appended_counter();
+        let uncapped = StationConfig::uncapped();
+        let mut replica = driver(core, seat_ctx(&state, 0), uncapped, &fabric, &appended);
+        let (item, rx) = append_item("a");
+        let store = BatchItem::Store {
+            entries: vec![stored_entry(5, "s")],
+        };
+        let driver = std::thread::spawn(move || replica.serve_batch(vec![item, store]));
+        // The backup's push leaves after registration and before the
+        // primary's fsync starts: once it has arrived, the window is open.
+        while raw[1].replicate_rpc_counter().get() == 0 {
+            std::thread::yield_now();
+        }
+        state.promote(1);
+        assert!(matches!(
+            rx.recv().unwrap(),
+            Err(ChariotsError::Fenced { .. })
+        ));
+        driver.join().unwrap();
+        // Whichever replica loop picks the orphan up, it ends on the new
+        // primary — committed there, or handed to it — and is counted then,
+        // once; the fenced append never is.
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while appended.get() < 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "orphaned store never re-homed"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(&raw[1].read(LId(5), false).unwrap().record.body[..], b"s");
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(appended.get(), 1);
+        assert!(state.commit().take_orphans().is_empty());
+        shutdown.signal();
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    /// Entries buffered while the primary's machine was down are committed
+    /// like any other once it is back: both replicas end up holding them,
+    /// and the group counts each exactly once.
+    #[test]
+    fn crash_buffer_recovery_commits_to_the_backup_and_counts_once() {
+        let (_state, raw, _fabric, shutdown, threads, _journal) = launch_backups(2);
+        let appended = raw[0].appended_counter();
+        raw[0].crash();
+        assert!(raw[0].store(vec![stored_entry(0, "x"), stored_entry(1, "y")]));
+        // Give the node time to pick the store up (and buffer it) while
+        // crashed.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(appended.get(), 0);
+        raw[0].recover();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while appended.get() < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "buffered stores never committed"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for replica in &raw {
+            assert_eq!(&replica.read(LId(0), false).unwrap().record.body[..], b"x");
+            assert_eq!(&replica.read(LId(1), false).unwrap().record.body[..], b"y");
+        }
+        // Several loop turns later the count has not moved.
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(appended.get(), 2);
         shutdown.signal();
         for t in threads {
             t.join().unwrap();

@@ -1,5 +1,5 @@
-//! Maintainer replica groups: synchronous replication, failure detection
-//! hooks, and automatic primary failover.
+//! Maintainer replica groups: quorum-committed replication, failure
+//! detection hooks, and automatic primary failover.
 //!
 //! The paper's FLStore persists each log range on exactly one maintainer;
 //! a crashed maintainer therefore stalls the Head of the Log until it
@@ -7,9 +7,10 @@
 //! module adds the missing availability story: every maintainer id is
 //! backed by a *replica group* of `f + 1` interchangeable replicas sharing
 //! that id. One replica acts as **primary** — it self-assigns positions,
-//! gossips the group frontier, and acks an append only after pushing it to
-//! every live backup. Backups persist replicated entries in their own WALs
-//! and serve reads when the primary is unreachable.
+//! gossips the group frontier, and acks an append only once a quorum of
+//! the live replicas (itself included) holds it durably. Backups persist
+//! replicated entries in their own WALs and serve reads when the primary is
+//! unreachable.
 //!
 //! Failover is driven by a heartbeat [`FailureDetector`]
 //! (crate `chariots-simnet`): when the detector suspects a primary, the
@@ -27,9 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chariots_simnet::{Counter, EventJournal, EventKind, FailureDetector, Gauge, ServiceStation};
-use chariots_types::{
-    ChariotsError, CommitMode, Entry, Generation, LId, MaintainerId, Result, TOId,
-};
+use chariots_types::{ChariotsError, Entry, Generation, LId, MaintainerId, Result, TOId};
 use parking_lot::RwLock;
 
 use crate::maintainer::{AppendPayload, MaintainerStats};
@@ -38,7 +37,7 @@ use crate::range::RangeMap;
 
 pub mod commit;
 
-use commit::{CommitTracker, ResolvedCommit};
+use commit::{CommitTracker, ResolvedCommit, SeatReport};
 
 /// The failure-detector key of one replica, e.g. `"M1.r0"`.
 pub fn replica_key(group: MaintainerId, index: usize) -> String {
@@ -138,7 +137,7 @@ impl GroupState {
 
     /// Promotes replica `index` to primary and bumps the generation,
     /// fencing every request stamped with the old one — including every
-    /// pipelined batch still awaiting quorum under the old generation.
+    /// batch still awaiting quorum under the old generation.
     /// Returns the new generation.
     pub fn promote(&self, index: usize) -> Generation {
         // Generation first: a deposed primary that still sees itself as
@@ -151,7 +150,7 @@ impl GroupState {
         new_gen
     }
 
-    /// The group's pipelined-commit ledger.
+    /// The group's commit ledger.
     pub fn commit(&self) -> &CommitTracker {
         &self.commit
     }
@@ -166,26 +165,32 @@ impl GroupState {
     /// batch if this ack completes its quorum.
     pub fn report_commit_ack(&self, index: usize, seq: u64, frontier: LId) {
         self.commit.note_durable(index, frontier);
-        let resolved = self.commit.report_ack(index, seq);
-        self.finish(resolved.into_iter().collect());
+        let resolved = self.commit.report(index, seq, SeatReport::Durable);
+        self.finish(resolved);
     }
 
-    /// A replica reports batch `seq` failed on its seat (send error,
-    /// fencing, or sync failure). Resolves the batch as quorum-lost if too
-    /// few participants remain.
-    pub fn report_commit_failure(&self, index: usize, seq: u64) {
-        let resolved = self.commit.report_failure(index, seq);
-        self.finish(resolved.into_iter().collect());
+    /// A replica reports batch `seq` failed on its seat with `cause` (send
+    /// error, fencing, or sync failure). Resolves the batch as failed if
+    /// too few participants remain — with `cause` itself when it is the
+    /// primary's, so a lone primary's waiters see the real `Storage` error
+    /// rather than a transient-looking `QuorumLost`.
+    pub fn report_commit_failure(&self, index: usize, seq: u64, cause: ChariotsError) {
+        let resolved = self.commit.report(index, seq, SeatReport::Failed(cause));
+        self.finish(resolved);
     }
 
-    /// The primary reports its own WAL fsync done for batch `seq`.
+    /// The primary reports its own WAL fsync done for batch `seq`. With no
+    /// backup enrolled this is the whole quorum: the batch resolves — and
+    /// its replies go out — on the caller's thread.
     pub fn report_primary_durable(&self, index: usize, seq: u64, fsync_us: u64, frontier: LId) {
         self.commit.note_durable(index, frontier);
-        let resolved = self.commit.report_primary_durable(index, seq, fsync_us);
-        self.finish(resolved.into_iter().collect());
+        let resolved = self
+            .commit
+            .report(index, seq, SeatReport::PrimaryDurable { fsync_us });
+        self.finish(resolved);
     }
 
-    /// Fails every in-flight pipelined batch with `err` (replica loop
+    /// Fails every in-flight batch with `err` (replica loop
     /// shutdown — nobody is left to ack, so waiters must not hang).
     pub fn abort_pending(&self, err: ChariotsError) {
         let resolved = self.commit.abort(err);
@@ -196,7 +201,7 @@ impl GroupState {
     /// fencing first: a batch whose quorum arrived *after* a promotion
     /// deposed its primary must not ack — the new primary may assign those
     /// positions to different records.
-    fn finish(&self, resolved: Vec<ResolvedCommit>) {
+    fn finish(&self, resolved: impl IntoIterator<Item = ResolvedCommit>) {
         for ResolvedCommit { batch, outcome } in resolved {
             let outcome = if outcome.is_ok()
                 && self.primary_generation(batch.primary) != Some(batch.generation)
@@ -229,22 +234,17 @@ pub struct ReplicaCtx {
     pub detector: Option<FailureDetector>,
     /// Liveness reporting period.
     pub heartbeat_interval: Duration,
-    /// How an acting primary commits batches: serially (fsync, then
-    /// replicate, then ack) or pipelined at f+1 durable copies.
-    pub commit_mode: CommitMode,
 }
 
 impl ReplicaCtx {
-    /// Wiring for a single-replica (unreplicated) group — the legacy
-    /// standalone-maintainer shape used by tests and benches. There are no
-    /// backups to overlap with, so the commit mode is serial.
+    /// Wiring for a single-replica (unreplicated) group — the
+    /// standalone-maintainer shape used by tests and benches.
     pub fn solo(group: Arc<GroupState>) -> Self {
         ReplicaCtx {
             group,
             index: 0,
             detector: None,
             heartbeat_interval: Duration::from_millis(5),
-            commit_mode: CommitMode::Serial,
         }
     }
 
@@ -352,8 +352,8 @@ impl ReplicaGroupHandle {
     }
 
     /// Append through the current primary and wait for the assigned
-    /// `(TOId, LId)` pairs. Acked only after the primary replicated the
-    /// records to every live backup.
+    /// `(TOId, LId)` pairs. Acked only once a quorum of the group's live
+    /// replicas holds the records durably.
     pub fn append(&self, payloads: Vec<AppendPayload>) -> Result<Vec<(TOId, LId)>> {
         self.primary()?.append(payloads)
     }
@@ -546,7 +546,7 @@ impl ReplicaGroupHandle {
 /// its machine must be up, and among such candidates the one with the
 /// highest **durable watermark** wins — the commit tracker's record of the
 /// highest contiguous frontier that seat has fsynced (falling back to the
-/// seat's self-reported durable frontier). A pipelined batch is only
+/// seat's self-reported durable frontier). A batch is only
 /// promised to survive on seats that reported it durable, so promoting by
 /// volatile frontier could seat a primary missing acked records.
 ///
@@ -583,8 +583,8 @@ pub fn run_failover(
             }
             // Promote by durable watermark, not the volatile frontier: a
             // backup may have applied entries whose fsync failed, and a
-            // pipelined batch is only promised to survive on seats that
-            // reported it durable.
+            // batch is only promised to survive on seats that reported it
+            // durable.
             let watermark = state.commit().durable_frontier(i).unwrap_or(LId::ZERO).max(
                 replica
                     .stats()
@@ -723,7 +723,6 @@ mod tests {
                 index: r,
                 detector: None,
                 heartbeat_interval: Duration::from_millis(5),
-                commit_mode: CommitMode::PipelinedQuorum,
             };
             let (h, t) = spawn_replica(
                 core,

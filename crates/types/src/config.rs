@@ -2,7 +2,9 @@
 //!
 //! Configuration follows the builder pattern; every knob has a documented
 //! default chosen to match the paper's evaluation setup (§7) at 1/10 scale
-//! (see `DESIGN.md` §3 for the scaling rationale).
+//! (see `DESIGN.md` §3 for the scaling rationale). A field here is something
+//! two deployments, benches or ablations set differently; a bound nothing
+//! varies is a constant of the component that enforces it, not a knob.
 
 use std::time::Duration;
 
@@ -26,30 +28,6 @@ pub enum WalSyncPolicy {
     /// batch but the durability point is left to the OS / shutdown. Crash
     /// durability is NOT guaranteed — ablation and bulk-load use only.
     Never,
-}
-
-/// How the acting primary of a maintainer replica group reaches the
-/// commit point for a group-commit batch.
-///
-/// `Serial` is the classic chain: apply → WAL fsync → push to every live
-/// backup → ack, so append latency is *fsync + slowest-backup RPC* even
-/// though the two are independent I/O. `PipelinedQuorum` (the default)
-/// ships the batch to the live backups first, pays the primary's fsync
-/// while those pushes are in flight, and acks as soon as a majority of
-/// the group's replicas — counting the primary and each backup that
-/// fsynced the batch — report it durable, cutting the ack latency to
-/// *max(fsync, ship + backup fsync)*.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommitMode {
-    /// Ack only after the primary fsynced **and** every live backup acked
-    /// its replication push — today's semantics, kept as the equivalence
-    /// oracle for the pipelined path.
-    Serial,
-    /// Ship to backups first, fsync in parallel, ack at a majority of
-    /// durable copies (whichever combination of primary fsync and backup
-    /// fsync acks gets there first).
-    #[default]
-    PipelinedQuorum,
 }
 
 /// Which substrate carries messages between the deployment's machines.
@@ -86,12 +64,11 @@ pub struct FLStoreConfig {
     /// Interval between Head-of-Log gossip messages between maintainers
     /// (§5.4). Fixed-size messages, so the cost is throughput-independent.
     pub gossip_interval: Duration,
-    /// Capacity bound of a maintainer's buffer of min-bound (explicit order)
-    /// records, to "avoid a large backlog of partial logs" (§5.4).
-    pub max_deferred_appends: usize,
     /// Replicas per maintainer group (`f + 1`): 1 disables replication,
     /// 2 (the default) survives one replica failure per group. Appends ack
-    /// only after reaching every live replica of the owning group.
+    /// once a majority of the owning group's replicas — both at 2 — hold
+    /// them durably, counting only the replicas that are live; a primary
+    /// with no live backup commits as a quorum of one.
     pub replication_factor: usize,
     /// How often each replica reports liveness to the failure detector.
     pub heartbeat_interval: Duration,
@@ -103,36 +80,8 @@ pub struct FLStoreConfig {
     /// requests into the same batch, up to this many *records*. 1 disables
     /// coalescing (every request is its own batch).
     pub max_batch_records: usize,
-    /// Group-commit drain bound in payload bytes: a drained batch stops
-    /// growing once the summed record bodies reach this bound.
-    pub max_batch_bytes: usize,
     /// When the maintainer WAL is flushed+fsynced on the serve path.
     pub wal_sync_policy: WalSyncPolicy,
-    /// How a replica group's primary reaches the commit point for a batch:
-    /// the serial fsync-then-replicate chain, or the pipelined quorum
-    /// commit that overlaps the two (the default).
-    pub commit_mode: CommitMode,
-    /// How long a client may serve `read_rule` from its cached Head of the
-    /// Log before refreshing it with an RPC. The HL is monotonic, so a
-    /// stale value is always a safe *lower* bound — the cache trades
-    /// freshness (a record may become visible up to one TTL late) for one
-    /// `head_of_log` round trip per rule. `Duration::ZERO` disables the
-    /// cache.
-    pub hl_cache_ttl: Duration,
-    /// Capacity of the client-side entry cache (entries, keyed by `LId`).
-    /// Committed positions below the Head of the Log are immutable, so the
-    /// cache needs no invalidation. 0 disables it.
-    pub read_cache_entries: usize,
-    /// Rotation threshold of one maintainer WAL segment file in bytes.
-    /// Smaller segments make compaction and checkpoint truncation more
-    /// granular at the cost of more files.
-    pub wal_segment_bytes: u64,
-    /// Compaction threshold in thousandths: a sealed WAL segment whose
-    /// estimated live ratio falls below `compact_live_frac_milli / 1000`
-    /// is rewritten without its dead frames during a GC sweep. Stored in
-    /// milli-units so the config stays `Eq`/hashable; use
-    /// [`FLStoreConfig::compact_live_frac`] to set it as a fraction.
-    pub compact_live_frac_milli: u32,
     /// How often a maintainer checkpoints its durable state so recovery
     /// can replay only the WAL suffix written since. `Duration::ZERO`
     /// disables checkpointing (recovery replays the whole log).
@@ -151,18 +100,11 @@ impl Default for FLStoreConfig {
             batch_size: 1000,
             num_indexers: 1,
             gossip_interval: Duration::from_millis(5),
-            max_deferred_appends: 65_536,
             replication_factor: 2,
             heartbeat_interval: Duration::from_millis(5),
             suspicion_timeout: Duration::from_millis(150),
             max_batch_records: 512,
-            max_batch_bytes: 1 << 20,
             wal_sync_policy: WalSyncPolicy::default(),
-            commit_mode: CommitMode::default(),
-            hl_cache_ttl: Duration::from_millis(5),
-            read_cache_entries: 4096,
-            wal_segment_bytes: 8 * 1024 * 1024,
-            compact_live_frac_milli: 500,
             checkpoint_interval: Duration::from_secs(1),
             transport: TransportMode::default(),
         }
@@ -224,48 +166,9 @@ impl FLStoreConfig {
         self
     }
 
-    /// Sets the group-commit drain bound in payload bytes.
-    pub fn max_batch_bytes(mut self, n: usize) -> Self {
-        self.max_batch_bytes = n;
-        self
-    }
-
     /// Sets the WAL sync policy for the maintainer serve path.
     pub fn wal_sync_policy(mut self, p: WalSyncPolicy) -> Self {
         self.wal_sync_policy = p;
-        self
-    }
-
-    /// Sets the replica-group commit mode (serial chain vs pipelined
-    /// quorum).
-    pub fn commit_mode(mut self, m: CommitMode) -> Self {
-        self.commit_mode = m;
-        self
-    }
-
-    /// Sets the client Head-of-Log cache TTL (`Duration::ZERO` disables).
-    pub fn hl_cache_ttl(mut self, d: Duration) -> Self {
-        self.hl_cache_ttl = d;
-        self
-    }
-
-    /// Sets the client entry-cache capacity in entries (0 disables).
-    pub fn read_cache_entries(mut self, n: usize) -> Self {
-        self.read_cache_entries = n;
-        self
-    }
-
-    /// Sets the WAL segment rotation threshold in bytes.
-    pub fn wal_segment_bytes(mut self, n: u64) -> Self {
-        self.wal_segment_bytes = n;
-        self
-    }
-
-    /// Sets the compaction live-ratio threshold as a fraction in `0.0..=1.0`
-    /// (stored internally in thousandths). `0.0` disables compaction
-    /// rewrites (fully-dead segments are still deleted).
-    pub fn compact_live_frac(mut self, frac: f64) -> Self {
-        self.compact_live_frac_milli = (frac.clamp(0.0, 1.0) * 1000.0).round() as u32;
         self
     }
 
@@ -300,15 +203,6 @@ impl FLStoreConfig {
         }
         if self.max_batch_records == 0 {
             return Err("max_batch_records must be at least 1".into());
-        }
-        if self.max_batch_bytes == 0 {
-            return Err("max_batch_bytes must be at least 1".into());
-        }
-        if self.wal_segment_bytes == 0 {
-            return Err("wal_segment_bytes must be at least 1".into());
-        }
-        if self.compact_live_frac_milli > 1000 {
-            return Err("compact_live_frac_milli must be at most 1000 (a fraction)".into());
         }
         Ok(())
     }
@@ -378,34 +272,18 @@ pub struct ChariotsConfig {
     /// with the token, trading network I/O for append latency (§6.2: "it is
     /// a design decision"). Ablation A3.
     pub token_carries_deferred: bool,
-    /// Heartbeat floor of the senders stage (§6.1 *Propagate*): with delta
-    /// shipping on, senders run a round as soon as a queue has assigned new
-    /// local records, and this interval only bounds how long a quiet sender
-    /// may go without gossiping its applied cut (a peer's gossip arriving
-    /// starts no round). With delta shipping off it is the fixed round
-    /// interval, as in the abstract solution.
+    /// Heartbeat floor of the senders stage (§6.1 *Propagate*): senders run
+    /// a round as soon as a queue has assigned new local records, and this
+    /// interval only bounds how long a quiet sender may go without
+    /// gossiping its applied cut (a peer's gossip arriving starts no
+    /// round).
     pub propagation_interval: Duration,
-    /// Cursor-based delta shipping for the senders stage: a healthy round
-    /// ships only records beyond a per-peer send cursor instead of
-    /// re-offering the whole unacknowledged window, and rounds are
-    /// event-driven. `false` restores the full re-offer policy (the
-    /// abstract solution's *Propagate*, kept for the `geo` bench baseline).
-    pub sender_delta_shipping: bool,
     /// How long a peer's applied cut may stall — with offered records still
     /// unacknowledged — before a sender falls back to re-offering from the
     /// ATable-known cut. The healing path for dropped chunks and healed
     /// partitions; must comfortably exceed the WAN round trip plus one
     /// propagation interval, or healthy peers get spurious retransmissions.
     pub retransmit_timeout: Duration,
-    /// Byte bound of one outgoing propagation chunk (summed record wire
-    /// sizes, alongside the record-count bound), so a catch-up burst after
-    /// a partition heals cannot monopolize the WAN link.
-    pub max_propagation_bytes: usize,
-    /// Cap of a sender's retransmission cache in records. A crashed or
-    /// partitioned peer pins the cache's pruning bound; beyond this cap the
-    /// oldest records are evicted and re-hydrated from the maintainers via
-    /// the scan path if the stale peer recovers.
-    pub sender_cache_max_records: usize,
     /// User-specified spatial GC rule: keep at most this many records
     /// per datacenter log beyond the replication-safe prefix. `None`
     /// disables user GC (records are kept indefinitely, §6.1).
@@ -435,10 +313,7 @@ impl Default for ChariotsConfig {
             batcher_flush_interval: Duration::from_millis(2),
             token_carries_deferred: true,
             propagation_interval: Duration::from_millis(10),
-            sender_delta_shipping: true,
             retransmit_timeout: Duration::from_millis(200),
-            max_propagation_bytes: 1 << 20,
-            sender_cache_max_records: 131_072,
             gc_keep_records: None,
             trace_sample_every: 64,
             transport: TransportMode::default(),
@@ -482,35 +357,15 @@ impl ChariotsConfig {
         self
     }
 
-    /// Sets the propagation interval (the heartbeat floor under delta
-    /// shipping).
+    /// Sets the propagation interval (the senders' heartbeat floor).
     pub fn propagation_interval(mut self, d: Duration) -> Self {
         self.propagation_interval = d;
-        self
-    }
-
-    /// Enables or disables sender delta shipping (`false` restores the
-    /// full re-offer baseline).
-    pub fn sender_delta_shipping(mut self, yes: bool) -> Self {
-        self.sender_delta_shipping = yes;
         self
     }
 
     /// Sets the stalled-peer retransmission timeout.
     pub fn retransmit_timeout(mut self, d: Duration) -> Self {
         self.retransmit_timeout = d;
-        self
-    }
-
-    /// Sets the byte bound of one propagation chunk.
-    pub fn max_propagation_bytes(mut self, n: usize) -> Self {
-        self.max_propagation_bytes = n;
-        self
-    }
-
-    /// Sets the sender retransmission-cache cap in records.
-    pub fn sender_cache_max_records(mut self, n: usize) -> Self {
-        self.sender_cache_max_records = n;
         self
     }
 
@@ -551,12 +406,6 @@ impl ChariotsConfig {
         }
         if self.retransmit_timeout.is_zero() {
             return Err("retransmit_timeout must be positive".into());
-        }
-        if self.max_propagation_bytes == 0 {
-            return Err("max_propagation_bytes must be at least 1".into());
-        }
-        if self.sender_cache_max_records == 0 {
-            return Err("sender_cache_max_records must be at least 1".into());
         }
         self.flstore.validate()
     }
@@ -620,13 +469,10 @@ mod tests {
             .max_batch_records(0)
             .validate()
             .is_err());
-        assert!(FLStoreConfig::new().max_batch_bytes(0).validate().is_err());
         let cfg = FLStoreConfig::new()
             .max_batch_records(64)
-            .max_batch_bytes(4096)
             .wal_sync_policy(WalSyncPolicy::Never);
         assert_eq!(cfg.max_batch_records, 64);
-        assert_eq!(cfg.max_batch_bytes, 4096);
         assert_eq!(cfg.wal_sync_policy, WalSyncPolicy::Never);
         assert!(cfg.validate().is_ok());
         assert_eq!(
@@ -636,56 +482,11 @@ mod tests {
     }
 
     #[test]
-    fn commit_mode_defaults_to_pipelined_quorum() {
-        assert_eq!(
-            FLStoreConfig::default().commit_mode,
-            CommitMode::PipelinedQuorum
-        );
-        let cfg = FLStoreConfig::new().commit_mode(CommitMode::Serial);
-        assert_eq!(cfg.commit_mode, CommitMode::Serial);
+    fn checkpoint_interval_builds_and_disables() {
+        assert!(FLStoreConfig::default().checkpoint_interval > Duration::ZERO);
+        let cfg = FLStoreConfig::new().checkpoint_interval(Duration::from_millis(200));
+        assert_eq!(cfg.checkpoint_interval, Duration::from_millis(200));
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn read_cache_knobs_build_and_disable() {
-        let cfg = FLStoreConfig::new()
-            .hl_cache_ttl(Duration::ZERO)
-            .read_cache_entries(0);
-        assert_eq!(cfg.hl_cache_ttl, Duration::ZERO);
-        assert_eq!(cfg.read_cache_entries, 0);
-        // Zero means "disabled", not "invalid".
-        assert!(cfg.validate().is_ok());
-        assert!(FLStoreConfig::default().hl_cache_ttl > Duration::ZERO);
-        assert!(FLStoreConfig::default().read_cache_entries > 0);
-    }
-
-    #[test]
-    fn storage_knobs_validate() {
-        let cfg = FLStoreConfig::default();
-        assert_eq!(cfg.wal_segment_bytes, 8 * 1024 * 1024);
-        assert_eq!(cfg.compact_live_frac_milli, 500);
-        assert!(cfg.checkpoint_interval > Duration::ZERO);
-        let cfg = FLStoreConfig::new()
-            .wal_segment_bytes(1 << 16)
-            .compact_live_frac(0.25)
-            .checkpoint_interval(Duration::from_millis(200));
-        assert_eq!(cfg.wal_segment_bytes, 1 << 16);
-        assert_eq!(cfg.compact_live_frac_milli, 250);
-        assert!(cfg.validate().is_ok());
-        // Fractions clamp into range instead of overflowing the milli rep.
-        assert_eq!(
-            FLStoreConfig::new()
-                .compact_live_frac(7.0)
-                .compact_live_frac_milli,
-            1000
-        );
-        assert!(FLStoreConfig::new()
-            .wal_segment_bytes(0)
-            .validate()
-            .is_err());
-        let mut cfg = FLStoreConfig::new();
-        cfg.compact_live_frac_milli = 1001;
-        assert!(cfg.validate().is_err());
         // Zero checkpoint interval means "disabled", not "invalid".
         assert!(FLStoreConfig::new()
             .checkpoint_interval(Duration::ZERO)
@@ -706,22 +507,10 @@ mod tests {
     #[test]
     fn propagation_knobs_validate() {
         let cfg = ChariotsConfig::new();
-        assert!(cfg.sender_delta_shipping, "delta shipping defaults on");
         assert!(cfg.retransmit_timeout > cfg.propagation_interval);
-        let mut cfg = ChariotsConfig::new()
-            .sender_delta_shipping(false)
-            .retransmit_timeout(Duration::from_millis(50))
-            .max_propagation_bytes(4096)
-            .sender_cache_max_records(1024);
-        assert!(!cfg.sender_delta_shipping);
+        let mut cfg = ChariotsConfig::new().retransmit_timeout(Duration::from_millis(50));
         assert!(cfg.validate().is_ok());
         cfg.retransmit_timeout = Duration::ZERO;
-        assert!(cfg.validate().is_err());
-        cfg.retransmit_timeout = Duration::from_millis(50);
-        cfg.max_propagation_bytes = 0;
-        assert!(cfg.validate().is_err());
-        cfg.max_propagation_bytes = 4096;
-        cfg.sender_cache_max_records = 0;
         assert!(cfg.validate().is_err());
     }
 

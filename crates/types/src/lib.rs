@@ -47,9 +47,7 @@ pub mod rules;
 pub mod wire;
 
 pub use causality::{compare, CausalOrder, VersionVector};
-pub use config::{
-    ChariotsConfig, CommitMode, FLStoreConfig, StageCounts, TransportMode, WalSyncPolicy,
-};
+pub use config::{ChariotsConfig, FLStoreConfig, StageCounts, TransportMode, WalSyncPolicy};
 pub use error::{ChariotsError, Result};
 pub use ids::{
     ClientId, DatacenterId, Epoch, Generation, LId, MaintainerId, RecordId, TOId, TraceId,

@@ -5,8 +5,17 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The two gates that need no registry come first, so they are reached —
+# and say something — where clippy and the workspace tests cannot resolve
+# their dependencies.
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+# The four library crates built from their own sources against the
+# stand-ins, and a smoke run of every benchmark workload with its full-log
+# audit.
+echo "==> offline manifest (benchmark smoke)"
+cargo test --offline --manifest-path crates/benchmark/offline/Cargo.toml
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -14,19 +23,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
-# The one gate that needs no registry: the four library crates built from
-# their own sources against the stand-ins, and a smoke run of every
-# benchmark workload with its full-log audit.
-echo "==> offline manifest (benchmark smoke)"
-cargo test --offline --manifest-path crates/benchmark/offline/Cargo.toml
-
 echo "==> batching smoke gate"
 cargo run --release -p chariots-bench --bin harness -- \
   --smoke --metrics-out target/bench-artifacts/batching-metrics.json batching
-
-echo "==> commitpath smoke gate"
-cargo run --release -p chariots-bench --bin harness -- \
-  --smoke --metrics-out target/bench-artifacts/commitpath-metrics.json commitpath
 
 echo "==> readpath smoke gate"
 cargo run --release -p chariots-bench --bin harness -- \
@@ -35,10 +34,6 @@ cargo run --release -p chariots-bench --bin harness -- \
 echo "==> recovery smoke gate"
 cargo run --release -p chariots-bench --bin harness -- \
   --smoke --metrics-out target/bench-artifacts/recovery-metrics.json recovery
-
-echo "==> geo smoke gate"
-cargo run --release -p chariots-bench --bin harness -- \
-  --smoke --metrics-out target/bench-artifacts/geo-metrics.json geo
 
 echo "==> obs smoke gate"
 cargo run --release -p chariots-bench --bin harness -- \

@@ -19,7 +19,7 @@ use chariots_flstore::replication::{run_failover, GroupState, ReplicaCtx, Replic
 use chariots_simnet::{
     Counter, EventJournal, FailureDetector, ServiceStation, Shutdown, StationConfig,
 };
-use chariots_types::{CommitMode, MaintainerId};
+use chariots_types::MaintainerId;
 
 #[test]
 fn primary_crash_mid_workload_fails_over_without_stalling() {
@@ -161,7 +161,6 @@ fn acked_append_survives_primary_crash_before_its_own_fsync() {
             index: r,
             detector: Some(detector.clone()),
             heartbeat_interval: Duration::from_millis(2),
-            commit_mode: CommitMode::PipelinedQuorum,
         };
         let (h, t) = spawn_replica(
             core,
