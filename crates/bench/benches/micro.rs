@@ -9,12 +9,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use chariots_core::stages::filter::{FilterCore, FilterRouting};
 use chariots_core::{ATable, Incoming, Token};
 use chariots_flstore::{
-    indexer::IndexerCore, maintainer::AppendPayload, segment::SegmentStore, wal, EpochJournal,
-    HlVector, MaintainerCore, RangeMap,
+    indexer::IndexerCore, maintainer::AppendPayload, segment::SegmentStore, EpochJournal, HlVector,
+    MaintainerCore, RangeMap,
 };
 use chariots_types::{
-    DatacenterId, Entry, LId, Limit, MaintainerId, Record, RecordId, TOId, Tag, TagSet, TagValue,
-    VersionVector,
+    crc32, DatacenterId, Entry, LId, Limit, MaintainerId, Record, RecordId, TOId, Tag, TagSet,
+    TagValue, VersionVector,
 };
 
 fn record(host: u16, toid: u64) -> Record {
@@ -97,17 +97,15 @@ fn bench_maintainer_append(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wal_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wal");
-    let entry = Entry::new(LId(42), record(1, 7));
-    // A record-sized frame, and a batch-sized one.
+fn bench_frame(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frame");
+    // The checksum of a record-sized frame, and of a batch-sized one.
     for (name, len) in [("crc32_512B", 512), ("crc32_32KiB", 32 * 1024)] {
         group.bench_function(name, |bench| {
             let data = vec![0xA5u8; len];
-            bench.iter(|| wal::crc32(std::hint::black_box(&data)))
+            bench.iter(|| crc32(std::hint::black_box(&data)))
         });
     }
-    let _ = entry; // encode/decode are internal; CRC dominates the path
     group.finish();
 }
 
@@ -247,7 +245,7 @@ criterion_group! {
         bench_atable,
         bench_rangemap,
         bench_maintainer_append,
-        bench_wal_codec,
+        bench_frame,
         bench_filter,
         bench_token,
         bench_indexer,

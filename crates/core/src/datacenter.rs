@@ -14,10 +14,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use chariots_simnet::{
-    Counter, LinkSender, MetricsRegistry, MetricsSnapshot, Notify, PipelineTracer, ServiceStation,
-    Shutdown, StationConfig, TransportMetrics,
+    Counter, Endpoint, LinkSender, MetricsRegistry, MetricsSnapshot, Notify, PipelineTracer,
+    ServiceStation, Shutdown, StationConfig, TransportMetrics,
 };
-use chariots_types::{ChariotsConfig, ChariotsError, DatacenterId, LId, Result, TransportMode};
+use chariots_types::{
+    ChariotsConfig, ChariotsError, DatacenterId, LId, Result, TransportMode, Wire,
+};
 use crossbeam::channel::Receiver;
 use parking_lot::RwLock;
 
@@ -196,14 +198,15 @@ impl ChariotsDc {
         // stage carry a reconnecting `TcpSender` instead of the channel.
         let mut ingresses = Vec::with_capacity(queues.len());
         for (i, q) in queues.iter().enumerate() {
-            ingresses.push(wire_stage(
+            let mut ingress = q.ingress();
+            wire_stage(
                 &cfg,
-                q.ingress(),
+                &mut ingress.to,
                 &registry,
                 &format!("queue{i}"),
                 &shutdown,
-                |ing, name, sd, m| ing.via_tcp(name, sd, m),
-            )?);
+            )?;
+            ingresses.push(ingress);
         }
         let queue_ingresses = Arc::new(RwLock::new(ingresses));
 
@@ -238,14 +241,15 @@ impl ChariotsDc {
         }
         let mut f_ingresses = Vec::with_capacity(filters.len());
         for (i, f) in filters.iter().enumerate() {
-            f_ingresses.push(wire_stage(
+            let mut ingress = f.ingress();
+            wire_stage(
                 &cfg,
-                f.ingress(),
+                &mut ingress.to,
                 &registry,
                 &format!("filter{i}"),
                 &shutdown,
-                |ing, name, sd, m| ing.via_tcp(name, sd, m),
-            )?);
+            )?;
+            f_ingresses.push(ingress);
         }
         let filter_ingresses = Arc::new(RwLock::new(f_ingresses));
 
@@ -272,13 +276,13 @@ impl ChariotsDc {
                 format!("{prefix}.batcher{i}.in"),
                 handle.processed_counter(),
             );
-            let handle = wire_stage(
+            let mut handle = handle;
+            wire_stage(
                 &cfg,
-                handle,
+                &mut handle.to,
                 &registry,
                 &format!("batcher{i}"),
                 &shutdown,
-                |h, name, sd, m| h.via_tcp(name, sd, m),
             )?;
             batcher_handles.push(handle);
             batcher_threads.push(thread);
@@ -435,9 +439,8 @@ impl ChariotsDc {
             format!("dc{}.batcher{idx}.in", self.dc.0),
             handle.processed_counter(),
         );
-        let handle = self.wire_elastic(handle, &format!("batcher{idx}"), |h, name, sd, m| {
-            h.via_tcp(name, sd, m)
-        });
+        let mut handle = handle;
+        self.wire_elastic(&mut handle.to, &format!("batcher{idx}"));
         self.batchers.write().push(handle);
         self.batcher_threads.push(thread);
         idx
@@ -496,11 +499,8 @@ impl ChariotsDc {
             format!("{}-queue-{idx}", self.dc),
         );
         register_queue_counters(&self.registry, &prefix, idx, &handle);
-        let ingress = self.wire_elastic(
-            handle.ingress(),
-            &format!("queue{idx}"),
-            |h, name, sd, m| h.via_tcp(name, sd, m),
-        );
+        let mut ingress = handle.ingress();
+        self.wire_elastic(&mut ingress.to, &format!("queue{idx}"));
         self.queue_ingresses.write().push(ingress);
         self.queues.push(handle);
         self.queue_threads.push(thread);
@@ -626,11 +626,8 @@ impl ChariotsDc {
             format!("dc{}.filter{idx}.dups", self.dc.0),
             handle.duplicates_counter(),
         );
-        let ingress = self.wire_elastic(
-            handle.ingress(),
-            &format!("filter{idx}"),
-            |h, name, sd, m| h.via_tcp(name, sd, m),
-        );
+        let mut ingress = handle.ingress();
+        self.wire_elastic(&mut ingress.to, &format!("filter{idx}"));
         self.filter_ingresses.write().push(ingress);
         self.filters.push(handle);
         self.threads.push(thread);
@@ -757,24 +754,11 @@ impl ChariotsDc {
         Ok(bound)
     }
 
-    /// TCP-wraps a late-added stage handle under the configured transport.
-    /// Elastic adds cannot fail, so a loopback bind error (fd exhaustion)
-    /// degrades that one node to the in-process channel instead of
-    /// panicking mid-scale-out.
-    fn wire_elastic<T>(
-        &self,
-        handle: T,
-        endpoint: &str,
-        via: impl FnOnce(&T, &str, Shutdown, TransportMetrics) -> std::io::Result<T>,
-    ) -> T {
-        if self.cfg.transport != TransportMode::Tcp {
-            return handle;
-        }
-        let metrics = TransportMetrics::registered(&self.registry, endpoint);
-        match via(&handle, endpoint, self.shutdown.clone(), metrics) {
-            Ok(wired) => wired,
-            Err(_) => handle,
-        }
+    /// [`wire_stage`] for a late-added stage. Elastic adds cannot fail, so
+    /// a loopback bind error (fd exhaustion) leaves that one node on the
+    /// in-process channel instead of panicking mid-scale-out.
+    fn wire_elastic<T: Wire + Send + 'static>(&self, to: &mut Endpoint<T>, endpoint: &str) {
+        let _ = wire_stage(&self.cfg, to, &self.registry, endpoint, &self.shutdown);
     }
 
     fn join_all(&mut self) {
@@ -811,23 +795,23 @@ fn register_queue_counters(registry: &MetricsRegistry, prefix: &str, i: usize, q
     );
 }
 
-/// TCP-wraps a stage handle when the configured transport is
+/// Puts a stage's endpoint on TCP when the configured transport is
 /// [`TransportMode::Tcp`]: spawns the stage's loopback listener, registers
-/// per-endpoint `chariots.transport.*` metrics, and returns a handle whose
-/// sends cross the socket. Under the default simnet transport the handle
-/// passes through untouched.
-fn wire_stage<T>(
+/// per-endpoint `chariots.transport.*` metrics, and leaves in `to` an
+/// endpoint whose sends cross the socket. Under the default simnet
+/// transport `to` stays as it is.
+fn wire_stage<T: Wire + Send + 'static>(
     cfg: &ChariotsConfig,
-    handle: T,
+    to: &mut Endpoint<T>,
     registry: &MetricsRegistry,
     endpoint: &str,
     shutdown: &Shutdown,
-    via: impl FnOnce(&T, &str, Shutdown, TransportMetrics) -> std::io::Result<T>,
-) -> Result<T> {
-    if cfg.transport != TransportMode::Tcp {
-        return Ok(handle);
+) -> Result<()> {
+    if cfg.transport == TransportMode::Tcp {
+        let metrics = TransportMetrics::registered(registry, endpoint);
+        *to = to
+            .listen(endpoint, shutdown.clone(), metrics)
+            .map_err(|e| ChariotsError::Transport(e.to_string()))?;
     }
-    let metrics = TransportMetrics::registered(registry, endpoint);
-    via(&handle, endpoint, shutdown.clone(), metrics)
-        .map_err(|e| ChariotsError::Transport(e.to_string()))
+    Ok(())
 }

@@ -14,11 +14,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use chariots_simnet::{
-    spawn_wire_listener, Counter, ServiceStation, Shutdown, StageTracer, TcpSender,
-    TransportMetrics,
-};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use chariots_simnet::{Counter, Endpoint, ServiceStation, Shutdown, StageTracer};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use parking_lot::RwLock;
 
 use crate::message::Incoming;
@@ -97,16 +94,13 @@ impl BatcherCore {
 /// Handle to a batcher node.
 #[derive(Clone)]
 pub struct BatcherHandle {
-    tx: Sender<Incoming>,
+    /// Where records for this batcher go. This is the pipeline's one hop
+    /// that carries a record per message.
+    pub(crate) to: Endpoint<Incoming>,
     station: Arc<ServiceStation>,
     processed: Counter,
     tracer: StageTracer,
     retire: Shutdown,
-    /// When set, `send` serializes the record and ships it over TCP to
-    /// this node's loopback listener instead of the channel. Everything
-    /// else (station, counters, tracer) is shared with the local handle.
-    /// This is the pipeline's one hop that carries a record per message.
-    wire: Option<Arc<TcpSender>>,
 }
 
 impl BatcherHandle {
@@ -120,32 +114,11 @@ impl BatcherHandle {
     pub fn send(&self, record: Incoming) -> bool {
         self.station.note_arrival(1);
         self.tracer.enter(record.trace());
-        match &self.wire {
-            Some(wire) if record.awaits_reply() => wire.send(&record).is_ok(),
-            Some(wire) => wire.post(&record).is_ok(),
-            None => self.tx.send(record).is_ok(),
+        if record.awaits_reply() {
+            self.to.send(record).is_ok()
+        } else {
+            self.to.post(record).is_ok()
         }
-    }
-
-    /// Exposes this batcher over TCP: spawns a loopback listener that
-    /// feeds the same inbound channel, and returns a handle clone whose
-    /// `send` goes through a pooled socket. Station accounting and tracing
-    /// stay on the sending side (shared `Arc`s), so both backends charge
-    /// the stage identically; the listener injects raw.
-    pub fn via_tcp(
-        &self,
-        name: &str,
-        shutdown: Shutdown,
-        metrics: TransportMetrics,
-    ) -> std::io::Result<BatcherHandle> {
-        let tx = self.tx.clone();
-        let addr =
-            spawn_wire_listener(name, shutdown, metrics.clone(), move |record: Incoming| {
-                let _ = tx.send(record);
-            })?;
-        let mut wired = self.clone();
-        wired.wire = Some(Arc::new(TcpSender::new(addr, metrics)));
-        Ok(wired)
     }
 
     /// Records processed by this batcher (bench instrumentation).
@@ -186,12 +159,11 @@ pub fn spawn_batcher(
     let processed = Counter::new();
     let retire = Shutdown::new();
     let handle = BatcherHandle {
-        tx,
+        to: Endpoint::Channel(tx),
         station: Arc::clone(&station),
         processed: processed.clone(),
         tracer: tracer.clone(),
         retire: retire.clone(),
-        wire: None,
     };
     let thread = std::thread::Builder::new()
         .name(name)

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chariots_simnet::{Counter, ServiceStation, Shutdown, StageTracer};
+use chariots_simnet::{Counter, Endpoint, ServiceStation, Shutdown, StageTracer};
 use chariots_types::{DatacenterId, Record, TOId};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
@@ -227,13 +227,9 @@ impl FilterCore {
 /// work, like bytes sitting in a real machine's socket buffer.
 #[derive(Clone)]
 pub struct FilterIngress {
-    tx: Sender<Vec<Incoming>>,
+    pub(crate) to: Endpoint<Vec<Incoming>>,
     station: Arc<ServiceStation>,
     tracer: StageTracer,
-    /// When set, `send` ships the batch over TCP to this filter's loopback
-    /// listener; the listener feeds `tx` raw, so station accounting stays
-    /// on the sending side either way.
-    wire: Option<Arc<chariots_simnet::TcpSender>>,
 }
 
 impl FilterIngress {
@@ -244,10 +240,9 @@ impl FilterIngress {
         tracer: StageTracer,
     ) -> Self {
         FilterIngress {
-            tx,
+            to: Endpoint::Channel(tx),
             station,
             tracer,
-            wire: None,
         }
     }
 
@@ -259,33 +254,7 @@ impl FilterIngress {
         for record in &batch {
             self.tracer.enter(record.trace());
         }
-        match &self.wire {
-            Some(wire) => wire.send(&batch).is_ok(),
-            None => self.tx.send(batch).is_ok(),
-        }
-    }
-
-    /// Exposes this filter over TCP: a loopback listener feeds the same
-    /// channel, and the returned ingress clone sends through a pooled
-    /// socket (one serialization per batch).
-    pub fn via_tcp(
-        &self,
-        name: &str,
-        shutdown: chariots_simnet::Shutdown,
-        metrics: chariots_simnet::TransportMetrics,
-    ) -> std::io::Result<FilterIngress> {
-        let tx = self.tx.clone();
-        let addr = chariots_simnet::spawn_wire_listener(
-            name,
-            shutdown,
-            metrics.clone(),
-            move |batch: Vec<Incoming>| {
-                let _ = tx.send(batch);
-            },
-        )?;
-        let mut wired = self.clone();
-        wired.wire = Some(Arc::new(chariots_simnet::TcpSender::new(addr, metrics)));
-        Ok(wired)
+        self.to.send(batch).is_ok()
     }
 
     /// The filter machine's capacity model.
@@ -307,12 +276,11 @@ pub struct FilterHandle {
 impl FilterHandle {
     /// A producer-side ingress (notes arrivals at this filter's station).
     pub fn ingress(&self) -> FilterIngress {
-        FilterIngress {
-            tx: self.tx.clone(),
-            station: Arc::clone(&self.station),
-            tracer: self.tracer.clone(),
-            wire: None,
-        }
+        FilterIngress::from_parts(
+            self.tx.clone(),
+            Arc::clone(&self.station),
+            self.tracer.clone(),
+        )
     }
 
     /// Records processed (bench instrumentation).

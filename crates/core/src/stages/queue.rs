@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chariots_simnet::{Counter, Gauge, Notify, ServiceStation, Shutdown, StageTracer};
+use chariots_simnet::{Counter, Endpoint, Gauge, Notify, ServiceStation, Shutdown, StageTracer};
 use chariots_types::{DatacenterId, Entry, MaintainerId, Record, RecordId};
 use parking_lot::RwLock;
 
@@ -346,13 +346,9 @@ impl QueueRing {
 /// queue's station so backlog drives its overload model.
 #[derive(Clone)]
 pub struct QueueIngress {
-    inbox: Arc<Inbox>,
+    pub(crate) to: Endpoint<Vec<Incoming>>,
     station: Arc<ServiceStation>,
     tracer: StageTracer,
-    /// When set, `send` ships the batch over TCP to this queue's loopback
-    /// listener; the listener posts it to the inbox raw, so station
-    /// accounting stays on the sending side either way.
-    wire: Option<Arc<chariots_simnet::TcpSender>>,
 }
 
 impl QueueIngress {
@@ -363,34 +359,7 @@ impl QueueIngress {
         for record in &batch {
             self.tracer.enter(record.trace());
         }
-        match &self.wire {
-            Some(wire) => wire.send(&batch).is_ok(),
-            None => {
-                self.inbox.push(batch);
-                true
-            }
-        }
-    }
-
-    /// Exposes this queue over TCP: a loopback listener feeds the same
-    /// inbox, and the returned ingress clone sends through a pooled
-    /// socket (one serialization per batch).
-    pub fn via_tcp(
-        &self,
-        name: &str,
-        shutdown: Shutdown,
-        metrics: chariots_simnet::TransportMetrics,
-    ) -> std::io::Result<QueueIngress> {
-        let inbox = Arc::clone(&self.inbox);
-        let addr = chariots_simnet::spawn_wire_listener(
-            name,
-            shutdown,
-            metrics.clone(),
-            move |batch: Vec<Incoming>| inbox.push(batch),
-        )?;
-        let mut wired = self.clone();
-        wired.wire = Some(Arc::new(chariots_simnet::TcpSender::new(addr, metrics)));
-        Ok(wired)
+        self.to.send(batch).is_ok()
     }
 
     /// The queue machine's capacity model.
@@ -413,11 +382,11 @@ pub struct QueueHandle {
 impl QueueHandle {
     /// A producer-side ingress (notes arrivals at this queue's station).
     pub fn ingress(&self) -> QueueIngress {
+        let inbox = Arc::clone(&self.inbox);
         QueueIngress {
-            inbox: Arc::clone(&self.inbox),
+            to: Endpoint::Inbox(Arc::new(move |batch| inbox.push(batch))),
             station: Arc::clone(&self.station),
             tracer: self.tracer.clone(),
-            wire: None,
         }
     }
 

@@ -163,9 +163,9 @@ impl FLStore {
             );
             // Under the TCP transport, client-facing RPCs routed through
             // the registered handles cross a real loopback socket;
-            // replication/gossip stay on the in-process channel (the
-            // wrapped handle routes them locally).
-            let handle = if self.cfg.transport == TransportMode::Tcp {
+            // replication/gossip stay on the in-process channel.
+            let mut handle = handle;
+            if self.cfg.transport == TransportMode::Tcp {
                 let endpoint = if r == 0 {
                     format!("maintainer{}", id.0)
                 } else {
@@ -174,12 +174,11 @@ impl FLStore {
                 let metrics = TransportMetrics::registered(&self.registry, &endpoint);
                 // Named for its listener's threads: `A-m0r0-accept`, `-conn`.
                 let listener = format!("{}-m{}r{r}", self.dc, id.0);
-                handle
-                    .via_tcp(&listener, self.shutdown.clone(), metrics)
-                    .map_err(|e| chariots_types::ChariotsError::Transport(e.to_string()))?
-            } else {
-                handle
-            };
+                handle.to = handle
+                    .to
+                    .listen(&listener, self.shutdown.clone(), metrics)
+                    .map_err(|e| chariots_types::ChariotsError::Transport(e.to_string()))?;
+            }
             raw.push(handle);
             self.threads.push(forget_result(thread));
         }

@@ -282,7 +282,8 @@ mod proptests {
     use super::*;
     use bytes::Bytes;
     use chariots_types::{
-        DatacenterId, Entry, LId, MaintainerId, Record, RecordId, TOId, TagSet, VersionVector,
+        DatacenterId, Entry, LId, MaintainerId, Record, RecordId, TOId, Tag, TagSet, TagValue,
+        TraceId, VersionVector, Wire,
     };
     use proptest::prelude::*;
 
@@ -296,6 +297,33 @@ mod proptests {
                 Bytes::from(format!("r{lid}")),
             ),
         )
+    }
+
+    /// Records over the whole data model, drawn as `types`' own generator
+    /// draws them.
+    fn arb_record() -> impl Strategy<Value = Record> {
+        let value = prop_oneof![
+            any::<i64>().prop_map(TagValue::Int),
+            "[ -~]{0,12}".prop_map(TagValue::Str),
+        ];
+        let tag =
+            ("[a-z]{0,6}", proptest::option::of(value)).prop_map(|(key, value)| Tag { key, value });
+        (
+            (0u16..4, 0u64..1_000_000),
+            proptest::collection::vec(0u64..64, 3),
+            proptest::collection::vec(tag, 0..4),
+            proptest::collection::vec(any::<u8>(), 0..256),
+            proptest::option::of(any::<u64>()),
+        )
+            .prop_map(|((host, toid), deps, tags, body, trace)| {
+                Record::new(
+                    RecordId::new(DatacenterId(host), TOId(toid)),
+                    VersionVector::from_entries(deps.into_iter().map(TOId).collect()),
+                    TagSet::from_tags(tags),
+                    Bytes::from(body),
+                )
+                .with_trace(trace.map(TraceId))
+            })
     }
 
     proptest! {
@@ -334,6 +362,47 @@ mod proptests {
                 // astronomically unlikely CRC collision, which a u8 flip
                 // cannot produce.
                 prop_assert_eq!(e, &entry(i as u64));
+            }
+        }
+
+        /// One record, one representation: what `Wal::append` puts behind
+        /// the segment header, what `ArchiveWriter::archive` appends, and
+        /// the frame a socket carries are the same bytes.
+        #[test]
+        fn the_wal_the_archive_and_the_socket_hold_the_same_bytes(
+            records in proptest::collection::vec(arb_record(), 1..8),
+        ) {
+            let entries: Vec<Entry> = records
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| Entry::new(LId(i as u64), r))
+                .collect();
+            let mut socket = Vec::new();
+            for e in &entries {
+                chariots_simnet::append_frame(&mut socket, |b| e.encode(b)).unwrap();
+            }
+
+            let dir = chariots_simnet::TestDir::new("chariots-prop-bytes");
+            let base = dir.path().join("same.wal");
+            let mut wal = Wal::open(&base).unwrap();
+            for e in &entries {
+                wal.append(e).unwrap();
+            }
+            wal.sync().unwrap();
+            let segment = std::fs::read(Wal::segment_path(&base, 0)).unwrap();
+            prop_assert_eq!(&segment[wal::SEG_HEADER_LEN as usize..], &socket[..]);
+
+            let arc = dir.path().join("same.arc");
+            ArchiveWriter::open(&arc).unwrap().archive(&entries).unwrap();
+            prop_assert_eq!(std::fs::read(&arc).unwrap(), socket);
+
+            // And both read back as what was written, trace ids included.
+            let archived: Vec<Entry> = ArchiveReader::open(&arc).unwrap().iter().collect();
+            for read in [Wal::replay(&base).unwrap(), archived] {
+                prop_assert_eq!(&read, &entries);
+                for (r, e) in read.iter().zip(&entries) {
+                    prop_assert_eq!(r.record.trace, e.record.trace);
+                }
             }
         }
 

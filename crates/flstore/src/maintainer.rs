@@ -10,12 +10,12 @@
 //! server wrapper lives in [`node`](crate::node).
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use chariots_simnet::Counter;
+use chariots_simnet::{append_frame, Counter, FrameReader};
 use chariots_types::{
     ChariotsError, DatacenterId, Entry, LId, MaintainerId, Record, RecordId, Result, TOId, TagSet,
     VersionVector, WalSyncPolicy, Wire, WireReader,
@@ -24,7 +24,7 @@ use chariots_types::{
 use crate::epoch::EpochJournal;
 use crate::gossip::HlVector;
 use crate::segment::SegmentStore;
-use crate::wal::{crc32, decode_entry, encode_entry, CompactionStats, Wal, WalPosition};
+use crate::wal::{frame_entry, io_err, next_entry, CompactionStats, Wal, WalPosition};
 
 /// What an application client sends to append: tags plus the opaque body.
 /// The maintainer constructs the full [`Record`] — identity included —
@@ -130,19 +130,18 @@ pub struct CheckpointInfo {
     pub reclaimed_bytes: u64,
 }
 
-fn io_err(e: std::io::Error) -> ChariotsError {
-    ChariotsError::Storage(e.to_string())
-}
-
-/// Checkpoint file header: magic, version, reserved, body length, body CRC.
 /// Compaction threshold in thousandths: a GC sweep rewrites a sealed WAL
 /// segment without its dead frames once its estimated live ratio falls
 /// below this (fully dead segments are deleted either way).
 const COMPACT_LIVE_FRAC_MILLI: u32 = 500;
 
-const CKPT_MAGIC: [u8; 4] = *b"CCKP";
-const CKPT_VERSION: u16 = 1;
-const CKPT_HEADER_LEN: usize = 20;
+/// A checkpoint file is a run of transport frames: one whose payload is
+/// `(magic, version, per-epoch GC floors, WAL position, entry count)` as
+/// `Wire` values, then one per live entry, as in a WAL segment.
+const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"CCKP");
+/// Version 2: the frames above. (Version 1 was one CRC over a hand-laid
+/// body; it fails the first frame and recovery falls through.)
+const CKPT_VERSION: u16 = 2;
 
 fn ckpt_path(base: &Path, suffix: &str) -> PathBuf {
     let mut name = base
@@ -166,70 +165,38 @@ struct CheckpointData {
 }
 
 /// Loads and validates the checkpoint at `path`. Any malformation —
-/// missing file, bad magic, wrong version, truncation, CRC mismatch,
-/// undecodable entry — yields `None`: the caller falls back to the
-/// previous checkpoint or a full replay, never to partial state.
+/// missing file, a short or CRC-failed frame, bad magic, another version,
+/// an undecodable entry, fewer or more frames than the count says — yields
+/// `None`: the caller falls back to the previous checkpoint or a full
+/// replay, never to partial state.
 fn load_checkpoint(path: &Path) -> Option<CheckpointData> {
-    let data = std::fs::read(path).ok()?;
-    if data.len() < CKPT_HEADER_LEN || data[0..4] != CKPT_MAGIC {
+    let mut frames = FrameReader::new(File::open(path).ok()?);
+    let mut head = WireReader::new(frames.next_frame().ok()??);
+    if u32::decode(&mut head)? != CKPT_MAGIC || u16::decode(&mut head)? != CKPT_VERSION {
         return None;
     }
-    if u16::from_le_bytes([data[4], data[5]]) != CKPT_VERSION {
-        return None;
-    }
-    let body_len = u64::from_le_bytes(data[8..16].try_into().ok()?) as usize;
-    let body_crc = u32::from_le_bytes(data[16..20].try_into().ok()?);
-    let body = data.get(CKPT_HEADER_LEN..CKPT_HEADER_LEN + body_len)?;
-    if crc32(body) != body_crc {
-        return None;
-    }
-    struct BodyCursor<'a> {
-        body: &'a [u8],
-        pos: usize,
-    }
-    impl<'a> BodyCursor<'a> {
-        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let s = self.body.get(self.pos..self.pos.checked_add(n)?)?;
-            self.pos += n;
-            Some(s)
-        }
-        fn u16(&mut self) -> Option<u16> {
-            self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-        }
-        fn u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        }
-        fn u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        }
-    }
-    let mut c = BodyCursor { body, pos: 0 };
-    let epoch_count = c.u16()? as usize;
-    let mut gc_floors = Vec::with_capacity(epoch_count);
-    for _ in 0..epoch_count {
-        gc_floors.push(c.u64()?);
-    }
+    let gc_floors = Vec::<u64>::decode(&mut head)?;
     let wal_pos = WalPosition {
-        seq: c.u64()?,
-        offset: c.u64()?,
+        seq: u64::decode(&mut head)?,
+        offset: u64::decode(&mut head)?,
     };
-    let entry_count = c.u64()? as usize;
-    let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
-    for _ in 0..entry_count {
-        let len = c.u32()? as usize;
-        let payload = c.take(len)?;
-        entries.push(decode_entry(payload)?);
+    let entry_count = u64::decode(&mut head)?;
+    if !head.is_empty() {
+        return None;
     }
-    if c.pos != body.len() {
-        return None; // trailing garbage
+    let mut entries = Vec::with_capacity(entry_count.min(1 << 20) as usize);
+    for _ in 0..entry_count {
+        entries.push(next_entry(&mut frames, path).ok()??);
+    }
+    // The count must be the whole file: no frame, whole or torn, after it.
+    if frames.next_frame().ok()?.is_some() || frames.torn() {
+        return None;
     }
     Some(CheckpointData {
         gc_floors,
         wal_pos,
         entries,
-        file_bytes: data.len() as u64,
+        file_bytes: frames.valid_bytes(),
     })
 }
 
@@ -1048,45 +1015,34 @@ impl MaintainerCore {
         self.durable = self.frontier();
         let pos = wal.position();
 
-        let mut body = Vec::new();
-        body.extend_from_slice(&(self.epochs.len() as u16).to_le_bytes());
-        for state in &self.epochs {
-            body.extend_from_slice(&state.store.gc_floor().to_le_bytes());
-        }
-        body.extend_from_slice(&pos.seq.to_le_bytes());
-        body.extend_from_slice(&pos.offset.to_le_bytes());
-        let mut entry_count = 0u64;
-        let mut frames = Vec::new();
-        let mut payload = Vec::new();
-        for state in &self.epochs {
-            for (_, entry) in state.store.iter() {
-                payload.clear();
-                encode_entry(entry, &mut payload);
-                frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frames.extend_from_slice(&payload);
-                entry_count += 1;
-            }
-        }
-        body.extend_from_slice(&entry_count.to_le_bytes());
-        body.extend_from_slice(&frames);
-
-        let mut header = Vec::with_capacity(CKPT_HEADER_LEN);
-        header.extend_from_slice(&CKPT_MAGIC);
-        header.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        header.extend_from_slice(&0u16.to_le_bytes());
-        header.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        header.extend_from_slice(&crc32(&body).to_le_bytes());
-
+        let gc_floors: Vec<u64> = self.epochs.iter().map(|s| s.store.gc_floor()).collect();
+        let entry_count: u64 = self.epochs.iter().map(|s| s.store.len()).sum();
         let base = wal.path().to_path_buf();
         let tmp = ckpt_path(&base, ".ckpt.tmp");
         let cur = ckpt_path(&base, ".ckpt");
         let prev = ckpt_path(&base, ".ckpt.prev");
-        {
-            let mut f = File::create(&tmp).map_err(io_err)?;
-            f.write_all(&header).map_err(io_err)?;
-            f.write_all(&body).map_err(io_err)?;
-            f.sync_data().map_err(io_err)?;
-        }
+        let bytes = {
+            let mut out = BufWriter::new(File::create(&tmp).map_err(io_err)?);
+            let mut frame = Vec::new();
+            append_frame(&mut frame, |b| {
+                CKPT_MAGIC.encode(b);
+                CKPT_VERSION.encode(b);
+                gc_floors.encode(b);
+                pos.seq.encode(b);
+                pos.offset.encode(b);
+                entry_count.encode(b);
+            })
+            .map_err(|e| ChariotsError::Storage(format!("checkpoint header: {e}")))?;
+            out.write_all(&frame).map_err(io_err)?;
+            for (_, entry) in self.epochs.iter().flat_map(|s| s.store.iter()) {
+                frame.clear();
+                frame_entry(&mut frame, entry)?;
+                out.write_all(&frame).map_err(io_err)?;
+            }
+            let file = out.into_inner().map_err(|e| io_err(e.into_error()))?;
+            file.sync_data().map_err(io_err)?;
+            file.metadata().map_err(io_err)?.len()
+        };
         // Demote the current snapshot before promoting the new one; both
         // renames are atomic, so every crash point leaves at least one
         // loadable checkpoint. A *corrupt* current snapshot is deleted
@@ -1124,7 +1080,7 @@ impl MaintainerCore {
         Ok(CheckpointInfo {
             upto: self.durable,
             entries: entry_count,
-            bytes: (CKPT_HEADER_LEN + body.len()) as u64,
+            bytes,
             reclaimed_bytes,
         })
     }
@@ -1595,6 +1551,82 @@ mod tests {
                 body.as_bytes()
             );
         }
+    }
+
+    /// A checkpoint is rejected whole — never loaded in part, never a
+    /// panic — whatever is cut off it or flipped in it.
+    #[test]
+    fn a_checkpoint_cut_anywhere_or_with_any_byte_flipped_does_not_load() {
+        let dir = chariots_simnet::TestDir::new("chariots-m-ckpt-fuzz");
+        let path = dir.path().join("m0.wal");
+        let journal = EpochJournal::new(RangeMap::new(1, 1000));
+        let mut m = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal)
+            .with_wal(&path)
+            .unwrap();
+        m.append_batch((0..6).map(|_| payload("snapshotted")).collect())
+            .unwrap();
+        m.gc_before(LId(2));
+        let info = m.checkpoint().unwrap().unwrap();
+        let cur = ckpt_path(&path, ".ckpt");
+        let good = std::fs::read(&cur).unwrap();
+        assert_eq!(info.bytes, good.len() as u64);
+        let loaded = load_checkpoint(&cur).expect("the checkpoint as written loads");
+        assert_eq!(loaded.entries.len() as u64, info.entries);
+        assert_eq!((loaded.gc_floors, loaded.file_bytes), (vec![2], info.bytes));
+
+        let probe = dir.path().join("probe.ckpt");
+        for cut in 0..good.len() {
+            std::fs::write(&probe, &good[..cut]).unwrap();
+            assert!(load_checkpoint(&probe).is_none(), "loaded cut at {cut}");
+        }
+        for at in 0..good.len() {
+            let mut bad = good.clone();
+            bad[at] ^= 0xFF;
+            std::fs::write(&probe, &bad).unwrap();
+            assert!(
+                load_checkpoint(&probe).is_none(),
+                "loaded with byte {at} flipped"
+            );
+        }
+        // One whole frame too many is a miscount, not a longer snapshot.
+        let mut extra = good.clone();
+        frame_entry(&mut extra, &loaded.entries[0]).unwrap();
+        std::fs::write(&probe, &extra).unwrap();
+        assert!(load_checkpoint(&probe).is_none());
+    }
+
+    /// A version 1 checkpoint (one CRC over a hand-laid body) does not
+    /// load: recovery falls through to `.ckpt.prev` and then to the WAL.
+    #[test]
+    fn a_version_1_checkpoint_falls_through_to_full_replay() {
+        let dir = chariots_simnet::TestDir::new("chariots-m-ckpt-v1");
+        let path = dir.path().join("m0.wal");
+        let journal = EpochJournal::new(RangeMap::new(1, 1000));
+        let mut m = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal.clone())
+            .with_wal(&path)
+            .unwrap();
+        m.append_batch(vec![payload("a"), payload("b"), payload("c")])
+            .unwrap();
+        m.sync().unwrap();
+        drop(m);
+        // Magic, version 1, reserved, body length, body CRC; the body: one
+        // epoch floor, a WAL position past everything, no entries.
+        let mut body = 1u16.to_le_bytes().to_vec();
+        body.extend_from_slice(&[0xFF; 8 + 8 + 8]);
+        body.extend_from_slice(&0u64.to_le_bytes());
+        let mut v1 = b"CCKP\x01\x00\x00\x00".to_vec();
+        v1.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&chariots_types::crc32(&body).to_le_bytes());
+        v1.extend_from_slice(&body);
+        for suffix in [".ckpt", ".ckpt.prev"] {
+            std::fs::write(ckpt_path(&path, suffix), &v1).unwrap();
+        }
+        let m = MaintainerCore::new(MaintainerId(0), DatacenterId(0), journal)
+            .with_wal(&path)
+            .unwrap();
+        let rs = m.recovery_stats();
+        assert_eq!((rs.used_checkpoint, rs.replayed_frames), (false, 3));
+        assert_eq!(m.frontier(), LId(3));
     }
 
     #[test]

@@ -19,8 +19,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use chariots_simnet::{
-    spawn_wire_listener, Counter, EventJournal, EventKind, Gauge, Histogram, MetricsRegistry,
-    Notify, ReplyTo, ServiceStation, Shutdown, StageTracer, TcpSender, TransportMetrics,
+    Counter, Endpoint, EventJournal, EventKind, Gauge, Histogram, MetricsRegistry, Notify, ReplyTo,
+    ServiceStation, Shutdown, StageTracer,
 };
 use chariots_types::{
     ChariotsError, Entry, Generation, LId, Limit, MaintainerId, Result, TOId, TagValue, TraceId,
@@ -282,66 +282,30 @@ impl std::fmt::Debug for MaintainerHandle {
 pub struct MaintainerHandle {
     /// The maintainer's id.
     pub id: MaintainerId,
-    tx: Sender<MaintainerRequest>,
+    /// The node's channel, or under the TCP transport its listener: where
+    /// the client-facing RPCs (append/read/scan family) `send`, a failure
+    /// there being the transient [`ChariotsError::Transport`]. Replication,
+    /// gossip, epoch, GC and stats always `send_local`: they are the
+    /// harness modelling the machine, not client traffic.
+    pub(crate) to: Endpoint<MaintainerRequest>,
     station: Arc<ServiceStation>,
     appended: Counter,
     /// Replication RPCs received by this node (one per `replicate` call,
     /// however many entries it carries) — observable proof that a drained
     /// batch costs each backup a single push.
     replicate_rpcs: Counter,
-    /// When set, the client-facing RPCs (append/read/scan family) travel
-    /// over this TCP connection instead of the in-process channel.
-    wire: Option<Arc<TcpSender>>,
 }
 
 impl MaintainerHandle {
-    /// Routes a client-facing request: over TCP when this handle was
-    /// wrapped by [`via_tcp`](Self::via_tcp), the in-process channel
-    /// otherwise. Wire failures surface as the transient
-    /// [`ChariotsError::Transport`], so retry-driven clients ride them out.
-    fn dispatch(&self, req: MaintainerRequest) -> Result<()> {
-        match &self.wire {
-            Some(wire) => wire.send(&req),
-            None => self.tx.send(req).map_err(|_| ChariotsError::ShutDown),
-        }
-    }
-
-    /// Wraps this handle so its client-facing RPCs (append/read/scan
-    /// family) travel over a real loopback TCP socket: a listener thread
-    /// feeds the node's queue and the returned handle carries a
-    /// reconnecting [`TcpSender`]. Replication, gossip, epoch, GC, stats,
-    /// and crash/recover stay on the local channel — they are the harness
-    /// modelling the machine, not client traffic. Station accounting stays
-    /// on the sending side (the shared [`ServiceStation`]), so a request
-    /// is never counted twice.
-    pub fn via_tcp(
-        &self,
-        name: &str,
-        shutdown: Shutdown,
-        metrics: TransportMetrics,
-    ) -> std::io::Result<MaintainerHandle> {
-        let tx = self.tx.clone();
-        let addr = spawn_wire_listener(
-            name,
-            shutdown,
-            metrics.clone(),
-            move |req: MaintainerRequest| {
-                let _ = tx.send(req);
-            },
-        )?;
-        let mut wired = self.clone();
-        wired.wire = Some(Arc::new(TcpSender::new(addr, metrics)));
-        Ok(wired)
-    }
-
     /// Fire-and-forget append (open-loop load generation).
     pub fn append_async(&self, payloads: Vec<AppendPayload>) -> bool {
         self.station.note_arrival(payloads.len() as u64);
-        self.dispatch(MaintainerRequest::Append {
-            payloads,
-            reply: None,
-        })
-        .is_ok()
+        self.to
+            .send(MaintainerRequest::Append {
+                payloads,
+                reply: None,
+            })
+            .is_ok()
     }
 
     /// Append and wait for the assigned `(TOId, LId)` pairs.
@@ -357,7 +321,7 @@ impl MaintainerHandle {
     pub fn append(&self, payloads: Vec<AppendPayload>) -> Result<Vec<(TOId, LId)>> {
         self.station.note_arrival(payloads.len() as u64);
         let (reply, rx) = bounded(1);
-        self.dispatch(MaintainerRequest::Append {
+        self.to.send(MaintainerRequest::Append {
             payloads,
             reply: Some(ReplyTo::local(reply)),
         })?;
@@ -372,7 +336,7 @@ impl MaintainerHandle {
     ) -> Result<Option<(TOId, LId)>> {
         self.station.note_arrival(1);
         let (reply, rx) = bounded(1);
-        self.dispatch(MaintainerRequest::AppendMinBound {
+        self.to.send(MaintainerRequest::AppendMinBound {
             payload,
             min,
             reply: ReplyTo::local(reply),
@@ -383,7 +347,7 @@ impl MaintainerHandle {
     /// Store pre-routed entries (Chariots queues stage).
     pub fn store(&self, entries: Vec<Entry>) -> bool {
         self.station.note_arrival(entries.len() as u64);
-        self.dispatch(MaintainerRequest::Store { entries }).is_ok()
+        self.to.send(MaintainerRequest::Store { entries }).is_ok()
     }
 
     /// Replicates already-assigned entries onto this replica, stamped with
@@ -395,14 +359,12 @@ impl MaintainerHandle {
         self.station.note_arrival(entries.len() as u64);
         self.replicate_rpcs.add(1);
         let (reply, rx) = bounded(1);
-        self.tx
-            .send(MaintainerRequest::Replicate {
-                entries,
-                generation,
-                reply: Some(reply),
-                seq: None,
-            })
-            .map_err(|_| ChariotsError::ShutDown)?;
+        self.to.send_local(MaintainerRequest::Replicate {
+            entries,
+            generation,
+            reply: Some(reply),
+            seq: None,
+        })?;
         rx.recv().map_err(|_| ChariotsError::ShutDown)?
     }
 
@@ -414,8 +376,8 @@ impl MaintainerHandle {
     pub fn replicate_async(&self, entries: Arc<[Entry]>, generation: Generation, seq: u64) -> bool {
         self.station.note_arrival(entries.len() as u64);
         self.replicate_rpcs.add(1);
-        self.tx
-            .send(MaintainerRequest::Replicate {
+        self.to
+            .send_local(MaintainerRequest::Replicate {
                 entries,
                 generation,
                 reply: None,
@@ -427,7 +389,7 @@ impl MaintainerHandle {
     /// Read one position.
     pub fn read(&self, lid: LId, enforce_hl: bool) -> Result<Entry> {
         let (reply, rx) = bounded(1);
-        self.dispatch(MaintainerRequest::Read {
+        self.to.send(MaintainerRequest::Read {
             lid,
             enforce_hl,
             reply: ReplyTo::local(reply),
@@ -440,7 +402,7 @@ impl MaintainerHandle {
     /// when the node is gone.
     pub fn read_batch(&self, lids: Vec<LId>, enforce_hl: bool) -> Result<Vec<Result<Entry>>> {
         let (reply, rx) = bounded(1);
-        self.dispatch(MaintainerRequest::ReadBatch {
+        self.to.send(MaintainerRequest::ReadBatch {
             lids,
             enforce_hl,
             reply: ReplyTo::local(reply),
@@ -453,7 +415,7 @@ impl MaintainerHandle {
     /// below it is filled, so what the scan returned below it is final.
     pub fn scan(&self, from: LId, max: usize) -> Result<(LId, Vec<Entry>)> {
         let (reply, rx) = bounded(1);
-        self.dispatch(MaintainerRequest::Scan {
+        self.to.send(MaintainerRequest::Scan {
             from,
             max,
             reply: ReplyTo::local(reply),
@@ -464,7 +426,7 @@ impl MaintainerHandle {
     /// This maintainer's view of the Head of the Log.
     pub fn head_of_log(&self) -> Result<LId> {
         let (reply, rx) = bounded(1);
-        self.dispatch(MaintainerRequest::HeadOfLog {
+        self.to.send(MaintainerRequest::HeadOfLog {
             reply: ReplyTo::local(reply),
         })?;
         rx.recv().map_err(|_| ChariotsError::ShutDown)
@@ -473,27 +435,27 @@ impl MaintainerHandle {
     /// Live counters.
     pub fn stats(&self) -> Result<MaintainerStats> {
         let (reply, rx) = bounded(1);
-        self.tx
-            .send(MaintainerRequest::Stats { reply })
-            .map_err(|_| ChariotsError::ShutDown)?;
+        self.to.send_local(MaintainerRequest::Stats { reply })?;
         rx.recv().map_err(|_| ChariotsError::ShutDown)
     }
 
     /// Injects gossip (used by peers and tests).
     pub fn gossip_in(&self, from: MaintainerId, frontier: LId) {
-        let _ = self.tx.send(MaintainerRequest::GossipIn { from, frontier });
+        let _ = self
+            .to
+            .send_local(MaintainerRequest::GossipIn { from, frontier });
     }
 
     /// Announces a future reassignment to this maintainer.
     pub fn announce_epoch(&self, start: LId, map: RangeMap) {
         let _ = self
-            .tx
-            .send(MaintainerRequest::AnnounceEpoch { start, map });
+            .to
+            .send_local(MaintainerRequest::AnnounceEpoch { start, map });
     }
 
     /// Requests garbage collection below `before`.
     pub fn gc(&self, before: LId) {
-        let _ = self.tx.send(MaintainerRequest::Gc { before });
+        let _ = self.to.send_local(MaintainerRequest::Gc { before });
     }
 
     /// Crashes the simulated machine (requests fail until recovery).
@@ -817,11 +779,10 @@ pub fn spawn_replica(
     let (tx, rx) = unbounded::<MaintainerRequest>();
     let handle = MaintainerHandle {
         id: core.id(),
-        tx,
+        to: Endpoint::Channel(tx),
         station: Arc::clone(&station),
         appended: appended.clone(),
         replicate_rpcs: Counter::new(),
-        wire: None,
     };
     let thread = std::thread::Builder::new()
         // Prefixed with the datacenter's letter like the stage threads, and

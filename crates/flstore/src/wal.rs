@@ -16,217 +16,65 @@
 //! - **Truncation** ([`Wal::truncate_below`]): segments wholly covered by a
 //!   durable checkpoint are deleted.
 //!
-//! Frames are length-prefixed and CRC-32 protected; recovery streams
-//! frames segment by segment. A torn or corrupt frame ends replay of the
-//! *final* segment (a crash mid-write); in an earlier segment it skips to
-//! the next segment, because a later segment can only exist if the WAL was
-//! reopened after that tear — everything past it was never acked.
+//! After its 48-byte header a segment holds entries exactly as a socket
+//! carries them: each is one transport frame (`[len][crc32][payload]`,
+//! written by [`append_frame`], checked by the transport's decoder through
+//! [`FrameReader`]) whose payload is the entry's [`Wire`] encoding. There
+//! is no storage codec and no storage framer; an entry over the
+//! transport's 64 MiB frame cap is refused by [`Wal::append`].
 //!
-//! The codec is hand-rolled: the format is tiny, stable, and has no reason
-//! to pull a serialization framework into the storage path.
+//! Recovery streams frames segment by segment. A *torn* frame — cut short,
+//! or failing its CRC — ends replay of the *final* segment (a crash
+//! mid-write); in an earlier segment it skips to the next segment, because
+//! a later segment can only exist if the WAL was reopened after that tear —
+//! everything past it was never acked. A frame whose CRC verifies but whose
+//! payload is not an entry is not a tail: it is a [`ChariotsError::Storage`]
+//! error, as is a segment header of another format version (this is
+//! version 2; nothing upgrades a log written by an earlier build). A
+//! segment whose header is short or rotted holds nothing replayable — a
+//! crash while the segment was being created leaves one.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
-use chariots_types::{
-    ChariotsError, DatacenterId, Entry, LId, Record, RecordId, Result, TOId, Tag, TagSet, TagValue,
-    VersionVector,
-};
+use chariots_simnet::{append_frame, FrameReader};
+use chariots_types::{crc32, decode_exact, ChariotsError, Entry, LId, Result, Wire};
 
 /// Default rotation threshold for one segment file.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
-// The CRC-32 implementation moved to `chariots_types::wire` so WAL frames
-// and transport frames share one checksum; re-exported to keep `wal::crc32`
-// callers working.
-pub use chariots_types::crc32;
+/// The largest frame buffer a [`Wal`] keeps from one append to the next.
+const FRAME_KEEP_BYTES: usize = 1024 * 1024;
 
-fn io_err(e: std::io::Error) -> ChariotsError {
+pub(crate) fn io_err(e: std::io::Error) -> ChariotsError {
     ChariotsError::Storage(e.to_string())
 }
 
-/// Serializes one entry into the WAL payload format.
-pub(crate) fn encode_entry(entry: &Entry, buf: &mut Vec<u8>) {
-    buf.extend_from_slice(&entry.lid.0.to_le_bytes());
-    buf.extend_from_slice(&entry.record.host().0.to_le_bytes());
-    buf.extend_from_slice(&entry.record.toid().0.to_le_bytes());
-
-    let deps: Vec<u64> = entry.record.deps.iter().map(|(_, t)| t.0).collect();
-    buf.extend_from_slice(&(deps.len() as u16).to_le_bytes());
-    for d in deps {
-        buf.extend_from_slice(&d.to_le_bytes());
-    }
-
-    buf.extend_from_slice(&(entry.record.tags.len() as u16).to_le_bytes());
-    for tag in entry.record.tags.iter() {
-        buf.extend_from_slice(&(tag.key.len() as u16).to_le_bytes());
-        buf.extend_from_slice(tag.key.as_bytes());
-        match &tag.value {
-            None => buf.push(0),
-            Some(TagValue::Int(i)) => {
-                buf.push(1);
-                buf.extend_from_slice(&i.to_le_bytes());
-            }
-            Some(TagValue::Str(s)) => {
-                buf.push(2);
-                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                buf.extend_from_slice(s.as_bytes());
-            }
-        }
-    }
-
-    buf.extend_from_slice(&(entry.record.body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&entry.record.body);
+/// Appends `entry` to `buf` as one frame: the bytes a WAL segment, a
+/// checkpoint and the archive hold for it, and the bytes a socket carries.
+pub(crate) fn frame_entry(buf: &mut Vec<u8>, entry: &Entry) -> Result<()> {
+    append_frame(buf, |b| entry.encode(b))
+        .map_err(|e| ChariotsError::Storage(format!("entry at {}: {e}", entry.lid)))
 }
 
-/// Cursor-based reader over a decoded payload.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.data.len() {
-            return None;
-        }
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-    fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-}
-
-/// Deserializes one entry from a WAL payload. Returns `None` on any
-/// malformation (the caller treats it as a torn tail).
-pub(crate) fn decode_entry(payload: &[u8]) -> Option<Entry> {
-    let mut c = Cursor {
-        data: payload,
-        pos: 0,
+/// The next entry of `frames` (read from `path`); `None` at the end of the
+/// file or at a torn frame. An intact frame that does not decode is neither:
+/// the CRC has vouched for its bytes, so it was written as something else
+/// (by an earlier format, say) — an error, never a tail to cut.
+pub(crate) fn next_entry(
+    frames: &mut FrameReader<impl Read>,
+    path: &Path,
+) -> Result<Option<Entry>> {
+    let Some(frame) = frames.next_frame().map_err(io_err)? else {
+        return Ok(None);
     };
-    let lid = LId(c.u64()?);
-    let host = DatacenterId(c.u16()?);
-    let toid = TOId(c.u64()?);
-
-    let deps_len = c.u16()? as usize;
-    let mut deps = Vec::with_capacity(deps_len);
-    for _ in 0..deps_len {
-        deps.push(TOId(c.u64()?));
-    }
-
-    let tag_count = c.u16()? as usize;
-    let mut tags = TagSet::new();
-    for _ in 0..tag_count {
-        let key_len = c.u16()? as usize;
-        let key = std::str::from_utf8(c.take(key_len)?).ok()?.to_owned();
-        let value = match *c.take(1)?.first()? {
-            0 => None,
-            1 => Some(TagValue::Int(c.i64()?)),
-            2 => {
-                let len = c.u32()? as usize;
-                Some(TagValue::Str(
-                    std::str::from_utf8(c.take(len)?).ok()?.to_owned(),
-                ))
-            }
-            _ => return None,
-        };
-        tags.push(Tag { key, value });
-    }
-
-    let body_len = c.u32()? as usize;
-    let body = Bytes::copy_from_slice(c.take(body_len)?);
-    if c.pos != payload.len() {
-        return None; // trailing garbage
-    }
-    Some(Entry::new(
-        lid,
-        Record::new(
-            RecordId::new(host, toid),
-            VersionVector::from_entries(deps),
-            tags,
-            body,
-        ),
-    ))
-}
-
-/// Frame length cap against absurd lengths from a corrupt header.
-const MAX_FRAME_LEN: usize = 1 << 30;
-
-/// Writes one `[len][crc][payload]` frame; returns the bytes written.
-pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
-    let crc = crc32(payload);
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .and_then(|_| w.write_all(&crc.to_le_bytes()))
-        .and_then(|_| w.write_all(payload))
-        .map_err(io_err)?;
-    Ok(8 + payload.len() as u64)
-}
-
-/// Outcome of attempting to read one frame.
-pub(crate) enum FrameStep {
-    /// An intact frame: the decoded entry and its on-disk size in bytes.
-    Entry(Box<Entry>, u64),
-    /// Clean end of file.
-    Eof,
-    /// A torn, corrupt, or undecodable frame: replay must not proceed
-    /// past this point within the current file.
-    Invalid,
-}
-
-/// Reads one frame from `r`, validating length, CRC, and decodability.
-pub(crate) fn read_frame(r: &mut impl Read) -> Result<FrameStep> {
-    let mut header = [0u8; 8];
-    match read_exact_or_eof(r, &mut header) {
-        Ok(true) => {}
-        Ok(false) => return Ok(FrameStep::Eof),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_FRAME_LEN {
-        return Ok(FrameStep::Invalid);
-    }
-    let mut payload = vec![0u8; len];
-    match r.read_exact(&mut payload) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            return Ok(FrameStep::Invalid); // torn tail
-        }
-        Err(e) => return Err(io_err(e)),
-    }
-    if crc32(&payload) != crc {
-        return Ok(FrameStep::Invalid);
-    }
-    match decode_entry(&payload) {
-        Some(entry) => Ok(FrameStep::Entry(Box::new(entry), 8 + len as u64)),
-        None => Ok(FrameStep::Invalid),
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, returning `Ok(false)` on a clean EOF at
-/// offset zero of the read.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
-    match r.read_exact(buf) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(io_err(e)),
-    }
+    decode_exact(frame).map(Some).ok_or_else(|| {
+        ChariotsError::Storage(format!(
+            "{}: a frame passes its CRC but is not an entry of this format",
+            path.display()
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +82,8 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
 // ---------------------------------------------------------------------------
 
 const SEG_MAGIC: [u8; 4] = *b"CSEG";
-const SEG_VERSION: u16 = 1;
+/// Version 2: entry frames are transport frames of `Wire`-encoded entries.
+const SEG_VERSION: u16 = 2;
 const SEG_FLAG_SEALED: u16 = 1;
 /// Fixed on-disk size of a segment header.
 pub const SEG_HEADER_LEN: u64 = 48;
@@ -266,17 +115,20 @@ impl SegHeader {
         out
     }
 
-    fn decode(buf: &[u8]) -> Option<SegHeader> {
+    /// `Ok(None)` for bytes that are not an intact header (short, wrong
+    /// magic, failed CRC); `Err(version)` for an intact header of a format
+    /// this build does not read.
+    fn decode(buf: &[u8]) -> std::result::Result<Option<SegHeader>, u16> {
         if buf.len() < SEG_HEADER_LEN as usize || buf[0..4] != SEG_MAGIC {
-            return None;
+            return Ok(None);
         }
         let crc = u32::from_le_bytes([buf[40], buf[41], buf[42], buf[43]]);
         if crc32(&buf[0..40]) != crc {
-            return None;
+            return Ok(None);
         }
         let version = u16::from_le_bytes([buf[4], buf[5]]);
         if version != SEG_VERSION {
-            return None;
+            return Err(version);
         }
         let flags = u16::from_le_bytes([buf[6], buf[7]]);
         let u64_at = |o: usize| {
@@ -291,25 +143,43 @@ impl SegHeader {
                 buf[o + 7],
             ])
         };
-        Some(SegHeader {
+        Ok(Some(SegHeader {
             sealed: flags & SEG_FLAG_SEALED != 0,
             seq: u64_at(8),
             first_lid: u64_at(16),
             last_lid: u64_at(24),
             frames: u64_at(32),
-        })
+        }))
     }
+}
+
+/// Consumes the segment header `file` starts with. `None` when it is short
+/// or rotted: nothing in such a segment replays. A header of another
+/// format version is an error — the log must never read as empty because
+/// an earlier build wrote it.
+fn read_header(file: &mut File, path: &Path) -> Result<Option<SegHeader>> {
+    let mut buf = [0u8; SEG_HEADER_LEN as usize];
+    match file.read_exact(&mut buf) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(io_err(e)),
+    }
+    SegHeader::decode(&buf).map_err(|version| {
+        ChariotsError::Storage(format!(
+            "{}: WAL segment format version {version}, this build reads version {SEG_VERSION}",
+            path.display()
+        ))
+    })
 }
 
 /// Metadata of one on-disk segment, as known to the writer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentInfo {
-    /// Segment sequence number; `None` for a legacy (pre-segmentation)
-    /// flat WAL file, which sorts before every numbered segment.
-    pub seq: Option<u64>,
+    /// Segment sequence number.
+    pub seq: u64,
     /// The backing file.
     pub path: PathBuf,
-    /// Total file size in bytes (header included, if any).
+    /// Total file size in bytes (header included).
     pub bytes: u64,
     /// Smallest LId of any intact frame; `None` when empty.
     pub first_lid: Option<LId>,
@@ -348,13 +218,10 @@ impl CompactionStats {
     }
 }
 
-/// Lists the segment files of the WAL at `base`, legacy flat file first,
-/// then numbered segments in ascending order. Missing directory ⇒ empty.
-fn discover_segments(base: &Path) -> Result<Vec<(Option<u64>, PathBuf)>> {
+/// Lists the numbered segment files of the WAL at `base` in ascending
+/// order. Missing directory ⇒ empty.
+fn discover_segments(base: &Path) -> Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
-    if base.is_file() {
-        out.push((None, base.to_path_buf()));
-    }
     let Some(parent) = base.parent() else {
         return Ok(out);
     };
@@ -366,7 +233,6 @@ fn discover_segments(base: &Path) -> Result<Vec<(Option<u64>, PathBuf)>> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(io_err(e)),
     };
-    let mut numbered = Vec::new();
     for entry in entries {
         let entry = entry.map_err(io_err)?;
         let name = entry.file_name();
@@ -375,56 +241,34 @@ fn discover_segments(base: &Path) -> Result<Vec<(Option<u64>, PathBuf)>> {
             continue;
         };
         if suffix.len() == 6 && suffix.bytes().all(|b| b.is_ascii_digit()) {
-            let seq: u64 = suffix.parse().expect("six digits");
-            numbered.push((Some(seq), entry.path()));
+            out.push((suffix.parse().expect("six digits"), entry.path()));
         }
     }
-    numbered.sort_by_key(|(seq, _)| *seq);
-    out.extend(numbered);
+    out.sort_by_key(|(seq, _)| *seq);
     Ok(out)
 }
 
-/// Scans one segment file: returns its metadata (valid-prefix frames only)
-/// and whether it starts with an intact segment header.
-fn scan_segment(seq: Option<u64>, path: &Path) -> Result<(SegmentInfo, bool)> {
-    let file = File::open(path).map_err(io_err)?;
-    let bytes = file.metadata().map_err(io_err)?.len();
-    let mut reader = BufReader::new(file);
-    let headered = skip_header(&mut reader)?.is_some();
+/// Scans one segment file: its metadata, counting the frames of its valid
+/// prefix only.
+fn scan_segment(seq: u64, path: &Path) -> Result<SegmentInfo> {
+    let mut file = File::open(path).map_err(io_err)?;
     let mut info = SegmentInfo {
         seq,
         path: path.to_path_buf(),
-        bytes,
+        bytes: file.metadata().map_err(io_err)?.len(),
         first_lid: None,
         last_lid: None,
         frames: 0,
     };
-    loop {
-        match read_frame(&mut reader)? {
-            FrameStep::Entry(entry, _) => {
-                info.first_lid = Some(info.first_lid.map_or(entry.lid, |f| f.min(entry.lid)));
-                info.last_lid = Some(info.last_lid.map_or(entry.lid, |l| l.max(entry.lid)));
-                info.frames += 1;
-            }
-            FrameStep::Eof | FrameStep::Invalid => break,
+    if read_header(&mut file, path)?.is_some() {
+        let mut frames = FrameReader::new(file);
+        while let Some(entry) = next_entry(&mut frames, path)? {
+            info.first_lid = Some(info.first_lid.map_or(entry.lid, |f| f.min(entry.lid)));
+            info.last_lid = Some(info.last_lid.map_or(entry.lid, |l| l.max(entry.lid)));
+            info.frames += 1;
         }
     }
-    Ok((info, headered))
-}
-
-/// Consumes the segment header if the file starts with an intact one,
-/// returning it; otherwise rewinds to offset 0 (legacy/garbled header:
-/// the whole file is frame data).
-fn skip_header(reader: &mut BufReader<File>) -> Result<Option<SegHeader>> {
-    let mut buf = [0u8; SEG_HEADER_LEN as usize];
-    let got = read_exact_or_eof(reader, &mut buf)?;
-    if got {
-        if let Some(h) = SegHeader::decode(&buf) {
-            return Ok(Some(h));
-        }
-    }
-    reader.seek(SeekFrom::Start(0)).map_err(io_err)?;
-    Ok(None)
+    Ok(info)
 }
 
 /// An append-only, CRC-protected, segmented write-ahead log of entries.
@@ -435,6 +279,9 @@ pub struct Wal {
     /// Sealed (immutable) segments, oldest first.
     sealed: Vec<SegmentInfo>,
     writer: BufWriter<File>,
+    /// The frame being appended; kept (up to [`FRAME_KEEP_BYTES`]) so an
+    /// append allocates nothing.
+    frame: Vec<u8>,
     active_seq: u64,
     /// Frame-data bytes written to the active segment (header excluded).
     active_bytes: u64,
@@ -459,15 +306,15 @@ impl Wal {
     /// `segment_bytes`. Existing segments are scanned (sealed headers are
     /// trusted; the rest get a frame scan), the most recent one is sealed
     /// as-is, and appends start in a fresh segment — so a torn tail from a
-    /// crash can never be followed by live frames in the same file.
+    /// crash can never be followed by live frames in the same file. A
+    /// segment of another format version fails the open.
     pub fn open_with(base: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self> {
         let base = base.into();
         let segment_bytes = segment_bytes.max(1);
         let mut sealed = Vec::new();
-        let mut next_seq = 0u64;
         for (seq, path) in discover_segments(&base)? {
             let info = match read_sealed_header(&path)? {
-                Some(h) if seq == Some(h.seq) => SegmentInfo {
+                Some(h) if seq == h.seq => SegmentInfo {
                     seq,
                     bytes: std::fs::metadata(&path).map_err(io_err)?.len(),
                     path,
@@ -475,26 +322,26 @@ impl Wal {
                     last_lid: (h.first_lid != u64::MAX).then_some(LId(h.last_lid)),
                     frames: h.frames,
                 },
-                _ => scan_segment(seq, &path)?.0,
+                _ => scan_segment(seq, &path)?,
             };
-            if let Some(s) = seq {
-                next_seq = next_seq.max(s + 1);
-            }
             sealed.push(info);
         }
-        // Seal the most recent segment in place (if it carries a header):
-        // its metadata is now exact and replay can trust it.
-        if let Some(last) = sealed.last() {
-            if last.seq.is_some() {
+        // Seal the most recent segment in place: its metadata is now exact
+        // and replay can trust it.
+        let next_seq = match sealed.last() {
+            Some(last) => {
                 seal_in_place(last)?;
+                last.seq + 1
             }
-        }
+            None => 0,
+        };
         let (writer, active_seq) = new_active_segment(&base, next_seq)?;
         Ok(Wal {
             base,
             segment_bytes,
             sealed,
             writer,
+            frame: Vec::new(),
             active_seq,
             active_bytes: 0,
             active_frames: 0,
@@ -518,12 +365,19 @@ impl Wal {
     }
 
     /// Appends one entry frame, rotating to a new segment once the active
-    /// one reaches the configured size.
+    /// one reaches the configured size. An entry too large for one frame
+    /// (it could not have crossed a hop either) is refused with nothing
+    /// written.
     pub fn append(&mut self, entry: &Entry) -> Result<()> {
-        let mut payload = Vec::with_capacity(64 + entry.record.body.len());
-        encode_entry(entry, &mut payload);
-        let written = write_frame(&mut self.writer, &payload)?;
-        self.active_bytes += written;
+        self.frame.clear();
+        let written = frame_entry(&mut self.frame, entry)
+            .and_then(|()| self.writer.write_all(&self.frame).map_err(io_err));
+        let len = self.frame.len() as u64;
+        if self.frame.capacity() > FRAME_KEEP_BYTES {
+            self.frame = Vec::new(); // one outsized entry, accepted or not
+        }
+        written?;
+        self.active_bytes += len;
         self.active_frames += 1;
         self.active_first = Some(self.active_first.map_or(entry.lid, |f| f.min(entry.lid)));
         self.active_last = Some(self.active_last.map_or(entry.lid, |l| l.max(entry.lid)));
@@ -553,7 +407,7 @@ impl Wal {
         file.write_all(&header.encode()).map_err(io_err)?;
         file.sync_data().map_err(io_err)?;
         self.sealed.push(SegmentInfo {
-            seq: Some(self.active_seq),
+            seq: self.active_seq,
             path: Self::segment_path(&self.base, self.active_seq),
             bytes: SEG_HEADER_LEN + self.active_bytes,
             first_lid: self.active_first,
@@ -631,18 +485,14 @@ impl Wal {
         self.protected = seqs.into_iter().collect();
     }
 
-    /// Deletes every sealed segment strictly below numbered segment `seq`
-    /// (the legacy flat file always qualifies). Returns the disk bytes
-    /// reclaimed. Called after a checkpoint makes the prefix redundant.
+    /// Deletes every sealed segment strictly below segment `seq`. Returns
+    /// the disk bytes reclaimed. Called after a checkpoint makes the prefix
+    /// redundant.
     pub fn truncate_below(&mut self, seq: u64) -> Result<u64> {
         let mut reclaimed = 0;
         let mut keep = Vec::with_capacity(self.sealed.len());
         for info in self.sealed.drain(..) {
-            let dead = match info.seq {
-                None => true,
-                Some(s) => s < seq,
-            };
-            if dead {
+            if info.seq < seq {
                 std::fs::remove_file(&info.path).map_err(io_err)?;
                 reclaimed += info.bytes;
             } else {
@@ -668,7 +518,7 @@ impl Wal {
         let mut stats = CompactionStats::default();
         let mut keep = Vec::with_capacity(self.sealed.len());
         for mut info in self.sealed.drain(..) {
-            if info.seq.is_some_and(|s| self.protected.contains(&s)) {
+            if self.protected.contains(&info.seq) {
                 keep.push(info);
                 continue;
             }
@@ -729,8 +579,9 @@ impl Wal {
     }
 
     /// Streams every intact frame under `base` in write order, stopping
-    /// cleanly at a torn or corrupt tail. Missing files replay as empty (a
-    /// maintainer that never persisted anything).
+    /// cleanly at a torn tail. Missing files replay as empty (a maintainer
+    /// that never persisted anything); a segment of another format version,
+    /// or an intact frame that is not an entry, is an error.
     pub fn replay_iter(base: impl AsRef<Path>) -> Result<WalReplay> {
         WalReplay::new(base.as_ref(), None)
     }
@@ -744,9 +595,8 @@ impl Wal {
 
 /// Reads and validates the header of `path` if it is a sealed segment.
 fn read_sealed_header(path: &Path) -> Result<Option<SegHeader>> {
-    let file = File::open(path).map_err(io_err)?;
-    let mut reader = BufReader::new(file);
-    Ok(skip_header(&mut reader)?.filter(|h| h.sealed))
+    let mut file = File::open(path).map_err(io_err)?;
+    Ok(read_header(&mut file, path)?.filter(|h| h.sealed))
 }
 
 /// Rewrites a sealed segment keeping only live frames; returns the new
@@ -755,24 +605,19 @@ fn rewrite_segment<F: Fn(LId) -> bool>(
     info: &SegmentInfo,
     is_live: &F,
 ) -> Result<Option<SegmentInfo>> {
-    let file = File::open(&info.path).map_err(io_err)?;
-    let mut reader = BufReader::new(file);
-    skip_header(&mut reader)?;
+    let mut file = File::open(&info.path).map_err(io_err)?;
     let mut kept: Vec<Entry> = Vec::new();
-    loop {
-        match read_frame(&mut reader)? {
-            FrameStep::Entry(entry, _) => {
-                if is_live(entry.lid) {
-                    kept.push(*entry);
-                }
+    if read_header(&mut file, &info.path)?.is_some() {
+        let mut frames = FrameReader::new(file);
+        while let Some(entry) = next_entry(&mut frames, &info.path)? {
+            if is_live(entry.lid) {
+                kept.push(entry);
             }
-            FrameStep::Eof | FrameStep::Invalid => break,
         }
     }
     if kept.is_empty() {
         return Ok(None);
     }
-    let seq = info.seq.unwrap_or(0);
     let tmp = info.path.with_extension("tmp");
     let mut first = u64::MAX;
     let mut last = 0u64;
@@ -788,18 +633,19 @@ fn rewrite_segment<F: Fn(LId) -> bool>(
         // Placeholder header; stamped below once the totals are known.
         w.write_all(&[0u8; SEG_HEADER_LEN as usize])
             .map_err(io_err)?;
-        let mut payload = Vec::new();
+        let mut frame = Vec::new();
         for entry in &kept {
-            payload.clear();
-            encode_entry(entry, &mut payload);
-            bytes += write_frame(&mut w, &payload)?;
+            frame.clear();
+            frame_entry(&mut frame, entry)?;
+            w.write_all(&frame).map_err(io_err)?;
+            bytes += frame.len() as u64;
             first = first.min(entry.lid.0);
             last = last.max(entry.lid.0);
         }
         w.flush().map_err(io_err)?;
         let header = SegHeader {
             sealed: true,
-            seq,
+            seq: info.seq,
             first_lid: first,
             last_lid: last,
             frames: kept.len() as u64,
@@ -821,24 +667,20 @@ fn rewrite_segment<F: Fn(LId) -> bool>(
 }
 
 /// Seals an existing segment file in place: stamps its header with the
-/// scanned valid-prefix metadata. Headerless (legacy) files are left
-/// alone — replay scans them directly.
+/// scanned valid-prefix metadata. A segment without an intact header is
+/// left as it is — nothing in it replays, sealed or not.
 fn seal_in_place(info: &SegmentInfo) -> Result<()> {
-    let Some(seq) = info.seq else { return Ok(()) };
-    let mut file = match OpenOptions::new().read(true).write(true).open(&info.path) {
-        Ok(f) => f,
-        Err(e) => return Err(io_err(e)),
-    };
-    let mut buf = [0u8; SEG_HEADER_LEN as usize];
-    {
-        let mut r = BufReader::new(&mut file);
-        if !read_exact_or_eof(&mut r, &mut buf)? || SegHeader::decode(&buf).is_none() {
-            return Ok(()); // legacy or garbled header: leave as-is
-        }
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&info.path)
+        .map_err(io_err)?;
+    if read_header(&mut file, &info.path)?.is_none() {
+        return Ok(());
     }
     let header = SegHeader {
         sealed: true,
-        seq,
+        seq: info.seq,
         first_lid: info.first_lid.map_or(u64::MAX, |l| l.0),
         last_lid: info.last_lid.map_or(0, |l| l.0),
         frames: info.frames,
@@ -873,17 +715,16 @@ fn new_active_segment(base: &Path, seq: u64) -> Result<(BufWriter<File>, u64)> {
 
 /// Streaming replay over the segments of one WAL, in write order.
 ///
-/// Yields each intact entry exactly once. A torn/corrupt frame in the
-/// final segment ends iteration (crash tail); in an earlier segment it
-/// skips to the next segment (that tail predates a reopen — nothing past
-/// it was ever acked).
+/// Yields each intact entry exactly once. A torn frame ends its segment:
+/// in the final one that is the crash tail, in an earlier one the tail
+/// predates a reopen (nothing past it was ever acked) and replay goes on
+/// with the next segment, whose frames are strictly newer.
 pub struct WalReplay {
     /// Remaining segments, next first.
-    segments: std::vec::IntoIter<(Option<u64>, PathBuf)>,
-    current: Option<BufReader<File>>,
-    /// Whether any segment remains after the current one.
-    remaining: usize,
-    bytes_read: u64,
+    segments: std::vec::IntoIter<(u64, PathBuf)>,
+    current: Option<(FrameReader<File>, PathBuf)>,
+    /// Frame bytes of the segments already finished.
+    bytes_before: u64,
     frames: u64,
 }
 
@@ -891,50 +732,48 @@ impl WalReplay {
     fn new(base: &Path, from: Option<WalPosition>) -> Result<WalReplay> {
         let mut segs = discover_segments(base)?;
         if let Some(pos) = from {
-            segs.retain(|(seq, _)| seq.is_some_and(|s| s >= pos.seq));
+            segs.retain(|(seq, _)| *seq >= pos.seq);
         }
-        let remaining = segs.len();
         let mut replay = WalReplay {
             segments: segs.into_iter(),
             current: None,
-            remaining,
-            bytes_read: 0,
+            bytes_before: 0,
             frames: 0,
         };
         replay.advance_segment(from)?;
         Ok(replay)
     }
 
-    /// Opens the next segment, seeking past the header (and, for the very
-    /// first segment of a positioned replay, past `pos.offset`).
+    /// Opens the next segment that has an intact header, past that header
+    /// (and, for the very first segment of a positioned replay, past
+    /// `pos.offset`). `false` when none is left.
     fn advance_segment(&mut self, from: Option<WalPosition>) -> Result<bool> {
-        let Some((seq, path)) = self.segments.next() else {
-            self.current = None;
-            return Ok(false);
-        };
-        self.remaining -= 1;
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.current = None;
-                return Ok(false);
-            }
-            Err(e) => return Err(io_err(e)),
-        };
-        let mut reader = BufReader::new(file);
-        skip_header(&mut reader)?;
-        if let Some(pos) = from {
-            if seq == Some(pos.seq) {
-                reader.seek_relative(pos.offset as i64).map_err(io_err)?;
-            }
+        if let Some((done, _)) = self.current.take() {
+            self.bytes_before += done.valid_bytes();
         }
-        self.current = Some(reader);
-        Ok(true)
+        for (seq, path) in self.segments.by_ref() {
+            let mut file = match File::open(&path) {
+                Ok(f) => f,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+                Err(e) => return Err(io_err(e)),
+            };
+            if read_header(&mut file, &path)?.is_none() {
+                continue;
+            }
+            if let Some(pos) = from.filter(|pos| pos.seq == seq) {
+                file.seek(SeekFrom::Current(pos.offset as i64))
+                    .map_err(io_err)?;
+            }
+            self.current = Some((FrameReader::new(file), path));
+            return Ok(true);
+        }
+        Ok(false)
     }
 
     /// Frame-data bytes consumed so far (headers excluded).
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
+        let current = self.current.as_ref().map_or(0, |(r, _)| r.valid_bytes());
+        self.bytes_before + current
     }
 
     /// Intact frames yielded so far.
@@ -948,34 +787,24 @@ impl Iterator for WalReplay {
 
     fn next(&mut self) -> Option<Result<Entry>> {
         loop {
-            let reader = self.current.as_mut()?;
-            match read_frame(reader) {
-                Ok(FrameStep::Entry(entry, bytes)) => {
-                    self.bytes_read += bytes;
+            let (frames, path) = self.current.as_mut()?;
+            let step = match next_entry(frames, path) {
+                Ok(Some(entry)) => {
                     self.frames += 1;
-                    return Some(Ok(*entry));
+                    return Some(Ok(entry));
                 }
-                Ok(FrameStep::Eof) => match self.advance_segment(None) {
-                    Ok(true) => continue,
-                    Ok(false) => return None,
-                    Err(e) => return Some(Err(e)),
-                },
-                Ok(FrameStep::Invalid) => {
-                    if self.remaining == 0 {
-                        // Torn/corrupt tail of the final segment: replay
-                        // ends at the longest valid prefix.
-                        self.current = None;
-                        return None;
-                    }
-                    // Mid-log tear predates a reopen; skip to the next
-                    // segment, whose frames are strictly newer.
-                    match self.advance_segment(None) {
-                        Ok(true) => continue,
-                        Ok(false) => return None,
-                        Err(e) => return Some(Err(e)),
-                    }
+                // The end of the segment or a torn frame: either way what
+                // is left to replay starts with the next segment.
+                Ok(None) => self.advance_segment(None),
+                Err(e) => Err(e),
+            };
+            match step {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => {
+                    self.current = None;
+                    return Some(Err(e));
                 }
-                Err(e) => return Some(Err(e)),
             }
         }
     }
@@ -984,6 +813,10 @@ impl Iterator for WalReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use chariots_types::{
+        DatacenterId, Record, RecordId, TOId, Tag, TagSet, TraceId, VersionVector,
+    };
 
     fn sample_entry(lid: u64, toid: u64) -> Entry {
         Entry::new(
@@ -1000,29 +833,25 @@ mod tests {
         )
     }
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard test vector for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// Opens the WAL at `path`, appends `entries`, syncs and closes it.
+    fn write_wal(path: &Path, entries: &[Entry]) {
+        let mut wal = Wal::open(path).unwrap();
+        for e in entries {
+            wal.append(e).unwrap();
+        }
+        wal.sync().unwrap();
     }
 
-    /// A sealed one-entry segment written by the build before the CRC was
-    /// table-sliced (hex-dumped from it): its header and its entry frame
-    /// still verify, and replay yields the entry.
-    #[test]
-    fn golden_segment_from_the_bytewise_crc_build_still_replays() {
-        let hex = concat!(
-            "435345470100010000000000000000002a000000000000002a000000000000000100000000000000",
-            "e5113fe9000000004d0000006b5e389f2a0000000000000001000700000000000000020003000000",
-            "000000000600000000000000020003006b657902010000007803007075740012000000676f6c6465",
-            "6e207265636f726420626f6479",
-        );
-        let golden: Vec<u8> = (0..hex.len())
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-            .collect();
-        let entry = Entry::new(
+            .collect()
+    }
+
+    /// The entry of every golden below (and of the transport's golden frame).
+    fn golden_entry() -> Entry {
+        Entry::new(
             LId(42),
             Record::new(
                 RecordId::new(DatacenterId(1), TOId(7)),
@@ -1032,50 +861,85 @@ mod tests {
                     .with(Tag::key("put")),
                 Bytes::from_static(b"golden record body"),
             ),
-        );
+        )
+    }
 
-        let header = SegHeader::decode(&golden).expect("header CRC verifies");
-        let sealed = SegHeader {
-            sealed: true,
-            seq: 0,
-            first_lid: 42,
-            last_lid: 42,
-            frames: 1,
-        };
-        assert_eq!(header, sealed);
-        assert_eq!(sealed.encode()[..], golden[..SEG_HEADER_LEN as usize]);
-        let mut frame = Vec::new();
-        let mut payload = Vec::new();
-        encode_entry(&entry, &mut payload);
-        write_frame(&mut frame, &payload).unwrap();
-        assert_eq!(frame[..], golden[SEG_HEADER_LEN as usize..]);
+    /// The one-entry segment's header: sealed, seq 0, LId 42 to 42.
+    const GOLDEN_SEALED: SegHeader = SegHeader {
+        sealed: true,
+        seq: 0,
+        first_lid: 42,
+        last_lid: 42,
+        frames: 1,
+    };
+
+    fn is_storage_naming(result: Result<impl std::fmt::Debug>, what: &str) -> bool {
+        matches!(&result, Err(ChariotsError::Storage(why)) if why.contains(what))
+    }
+
+    /// Invariant (a). A sealed one-entry segment written by a format
+    /// version 1 build (hex-dumped from it): its header still passes magic
+    /// and CRC, so it is not a rotted file but a log this build cannot
+    /// read — `open` and `replay` say so, naming the version, and neither
+    /// reads it as empty.
+    #[test]
+    fn golden_v1_segment_is_refused_not_read_as_empty() {
+        let golden = unhex(concat!(
+            "435345470100010000000000000000002a000000000000002a000000000000000100000000000000",
+            "e5113fe9000000004d0000006b5e389f2a0000000000000001000700000000000000020003000000",
+            "000000000600000000000000020003006b657902010000007803007075740012000000676f6c6465",
+            "6e207265636f726420626f6479",
+        ));
+        assert_eq!(SegHeader::decode(&golden), Err(1));
+
+        let dir = chariots_simnet::TestDir::new("chariots-wal-golden-v1");
+        let base = dir.path().join("golden.wal");
+        std::fs::write(Wal::segment_path(&base, 0), &golden).unwrap();
+        assert!(is_storage_naming(Wal::replay(&base), "version 1"));
+        assert!(is_storage_naming(
+            Wal::replay_from(&base, WalPosition::default()).map(|_| ()),
+            "version 1"
+        ));
+        assert!(is_storage_naming(Wal::open(&base), "version 1"));
+        assert!(is_storage_naming(Wal::open_with(&base, 512), "version 1"));
+        // Refused, not clobbered: the file is as it was.
+        assert_eq!(std::fs::read(Wal::segment_path(&base, 0)).unwrap(), golden);
+    }
+
+    /// The same segment as this format writes it (hex-dumped from this
+    /// build): it replays, it is what this build writes, and its entry
+    /// frame is byte for byte the transport's golden frame
+    /// (`transport.rs::golden_frame_from_the_bytewise_crc_build_still_verifies`).
+    #[test]
+    fn golden_v2_segment_replays_and_its_frame_is_the_transports() {
+        let header_hex = concat!(
+            "435345470200010000000000000000002a000000000000002a000000000000000100000000000000",
+            "1b6adf8d00000000",
+        );
+        let transport_frame_hex = concat!(
+            "57000000cfd28d872a00000000000000010007000000000000000200000003000000000000000600",
+            "00000000000002000000030000006b65790101010000007803000000707574001200000067",
+            "6f6c64656e207265636f726420626f647900",
+        );
+        let golden = unhex(&format!("{header_hex}{transport_frame_hex}"));
+        let (header, frame) = golden.split_at(SEG_HEADER_LEN as usize);
+        assert_eq!(SegHeader::decode(header), Ok(Some(GOLDEN_SEALED)));
+        assert_eq!(GOLDEN_SEALED.encode()[..], *header);
+        let mut written = Vec::new();
+        frame_entry(&mut written, &golden_entry()).unwrap();
+        assert_eq!(written, frame);
 
         let dir = chariots_simnet::TestDir::new("chariots-wal-golden");
         let base = dir.path().join("golden.wal");
         std::fs::write(Wal::segment_path(&base, 0), &golden).unwrap();
-        assert_eq!(Wal::replay(&base).unwrap(), vec![entry]);
-    }
+        assert_eq!(Wal::replay(&base).unwrap(), vec![golden_entry()]);
 
-    #[test]
-    fn encode_decode_roundtrip() {
-        let entry = sample_entry(42, 7);
-        let mut buf = Vec::new();
-        encode_entry(&entry, &mut buf);
-        let back = decode_entry(&buf).expect("decodes");
-        assert_eq!(back, entry);
-    }
-
-    #[test]
-    fn decode_rejects_truncation_at_every_length() {
-        let entry = sample_entry(1, 1);
-        let mut buf = Vec::new();
-        encode_entry(&entry, &mut buf);
-        for cut in 0..buf.len() {
-            assert!(
-                decode_entry(&buf[..cut]).is_none(),
-                "decoded from a {cut}-byte prefix"
-            );
-        }
+        // And the writer produces exactly these bytes.
+        let base = dir.path().join("written.wal");
+        let mut wal = Wal::open(&base).unwrap();
+        wal.append(&golden_entry()).unwrap();
+        wal.rotate().unwrap();
+        assert_eq!(std::fs::read(Wal::segment_path(&base, 0)).unwrap(), golden);
     }
 
     #[test]
@@ -1088,12 +952,13 @@ mod tests {
             frames: 31,
         };
         let buf = h.encode();
-        assert_eq!(SegHeader::decode(&buf), Some(h));
+        assert_eq!(SegHeader::decode(&buf), Ok(Some(h)));
         for i in 0..40 {
             let mut bad = buf;
             bad[i] ^= 0xFF;
-            assert!(SegHeader::decode(&bad).is_none(), "flip at {i} accepted");
+            assert_eq!(SegHeader::decode(&bad), Ok(None), "flip at {i} accepted");
         }
+        assert_eq!(SegHeader::decode(&buf[..47]), Ok(None), "short header");
     }
 
     #[test]
@@ -1118,33 +983,6 @@ mod tests {
     fn replay_missing_file_is_empty() {
         let replayed = Wal::replay("/nonexistent/chariots.wal").unwrap();
         assert!(replayed.is_empty());
-    }
-
-    #[test]
-    fn replay_reads_legacy_flat_file() {
-        // A pre-segmentation WAL: raw frames at the base path, no header.
-        let dir = chariots_simnet::TestDir::new("chariots-wal-legacy");
-        let path = dir.path().join("legacy.wal");
-        let entries: Vec<Entry> = (0..3).map(|i| sample_entry(i, i + 1)).collect();
-        {
-            let mut buf = Vec::new();
-            let mut file = File::create(&path).unwrap();
-            for e in &entries {
-                buf.clear();
-                encode_entry(e, &mut buf);
-                write_frame(&mut file, &buf).unwrap();
-            }
-        }
-        assert_eq!(Wal::replay(&path).unwrap(), entries);
-        // Appending through the segmented WAL keeps the legacy prefix.
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            wal.append(&sample_entry(3, 4)).unwrap();
-            wal.sync().unwrap();
-        }
-        let replayed = Wal::replay(&path).unwrap();
-        assert_eq!(replayed.len(), 4);
-        assert_eq!(replayed[3].lid, LId(3));
     }
 
     #[test]
@@ -1228,6 +1066,95 @@ mod tests {
         std::fs::write(&seg, &data).unwrap();
         let replayed = Wal::replay(&path).unwrap();
         assert_eq!(replayed.len(), 1, "only the intact prefix survives");
+    }
+
+    /// Invariant (b). Torn means short or CRC-failed. A frame whose CRC
+    /// verifies and whose payload is not an entry was written by something
+    /// else — it must stop recovery with an error, not pass for a tail.
+    #[test]
+    fn an_intact_frame_that_is_not_an_entry_is_an_error_not_a_tail() {
+        let dir = chariots_simnet::TestDir::new("chariots-wal-foreign");
+        let path = dir.path().join("foreign.wal");
+        write_wal(&path, &[sample_entry(0, 1)]);
+        let seg = Wal::segment_path(&path, 0);
+        let mut data = std::fs::read(&seg).unwrap();
+        append_frame(&mut data, |b| b.extend_from_slice(b"not an entry")).unwrap();
+        frame_entry(&mut data, &sample_entry(1, 2)).unwrap();
+        std::fs::write(&seg, &data).unwrap();
+        assert!(is_storage_naming(Wal::replay(&path), "not an entry"));
+        assert!(is_storage_naming(Wal::open(&path), "not an entry"));
+        // The iterator hands out the intact prefix, then the error, then ends.
+        let mut replay = Wal::replay_iter(&path).unwrap();
+        assert_eq!(replay.next().unwrap().unwrap(), sample_entry(0, 1));
+        assert!(replay.next().unwrap().is_err());
+        assert!(replay.next().is_none());
+    }
+
+    /// Invariant (c). A crash inside `new_active_segment` leaves a numbered
+    /// file with a short header; rot can break an intact one. Either way
+    /// the segment yields no entries and no error, and restart goes on.
+    #[test]
+    fn a_segment_with_a_short_or_rotted_header_yields_nothing_and_no_error() {
+        let dir = chariots_simnet::TestDir::new("chariots-wal-badheader");
+        let path = dir.path().join("badheader.wal");
+        write_wal(&path, &[sample_entry(0, 1)]);
+        write_wal(&path, &[sample_entry(1, 2)]);
+        // Segment 1 (entry 1) rots in its header; segment 2 is ten bytes.
+        let rotted = Wal::segment_path(&path, 1);
+        let mut data = std::fs::read(&rotted).unwrap();
+        data[9] ^= 0xFF;
+        std::fs::write(&rotted, &data).unwrap();
+        std::fs::write(Wal::segment_path(&path, 2), &data[..10]).unwrap();
+        assert_eq!(Wal::replay(&path).unwrap(), vec![sample_entry(0, 1)]);
+
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.position().seq, 3);
+        wal.append(&sample_entry(1, 2)).unwrap();
+        wal.sync().unwrap();
+        // Neither broken file was stamped into something that replays…
+        assert_eq!(std::fs::read(&rotted).unwrap(), data);
+        assert_eq!(Wal::replay(&path).unwrap().len(), 2);
+        // …and compaction sees both as dead weight.
+        let stats = wal.compact(LId(0), 1000, |_| true).unwrap();
+        assert_eq!(stats.segments_deleted, 2);
+    }
+
+    /// Invariant (d). The WAL's cap is the sockets': an entry one byte over
+    /// it is refused before anything is written.
+    #[test]
+    fn an_entry_over_the_frame_cap_is_refused_and_the_segment_stays_replayable() {
+        let mut huge = golden_entry();
+        let overhead = chariots_types::encode_to_vec(&huge).len() - huge.record.body.len();
+        huge.record.body = Bytes::from(vec![0u8; chariots_simnet::MAX_FRAME_BYTES - overhead + 1]);
+
+        let dir = chariots_simnet::TestDir::new("chariots-wal-cap");
+        let path = dir.path().join("cap.wal");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&sample_entry(0, 1)).unwrap();
+        assert!(is_storage_naming(wal.append(&huge), "exceeds cap"));
+        assert_eq!((wal.appended(), wal.frame.capacity()), (1, 0));
+        // A large entry that does fit is written, and its buffer not kept.
+        let mut large = sample_entry(1, 2);
+        large.record.body = Bytes::from(vec![7u8; 2 * FRAME_KEEP_BYTES]);
+        wal.append(&large).unwrap();
+        assert_eq!((wal.appended(), wal.frame.capacity()), (2, 0));
+        wal.sync().unwrap();
+        assert_eq!(Wal::replay(&path).unwrap(), vec![sample_entry(0, 1), large]);
+    }
+
+    /// The old storage codec dropped the trace id the sockets carry; the
+    /// one encoding keeps it.
+    #[test]
+    fn a_traced_record_comes_back_from_replay_with_its_trace_id() {
+        let dir = chariots_simnet::TestDir::new("chariots-wal-trace");
+        let path = dir.path().join("trace.wal");
+        let mut traced = sample_entry(0, 1);
+        traced.record = traced.record.with_trace(Some(TraceId(77)));
+        write_wal(&path, &[traced.clone(), sample_entry(1, 2)]);
+        let replayed = Wal::replay(&path).unwrap();
+        assert_eq!(replayed, vec![traced, sample_entry(1, 2)]);
+        let traces: Vec<_> = replayed.iter().map(|e| e.record.trace).collect();
+        assert_eq!(traces, vec![Some(TraceId(77)), None]);
     }
 
     #[test]
@@ -1359,7 +1286,7 @@ mod tests {
             wal.append(&sample_entry(i, i + 1)).unwrap();
         }
         wal.sync().unwrap();
-        let protected_seq = wal.sealed[0].seq.unwrap();
+        let protected_seq = wal.sealed[0].seq;
         wal.set_protected([protected_seq]);
         let stats = wal.compact(LId(1_000), 1000, |_| false).unwrap();
         assert!(stats.segments_deleted > 0);
@@ -1402,16 +1329,14 @@ mod tests {
         /// Byte offset (within the segment's frame data) at which each
         /// frame ends, given the entries written.
         fn frame_ends(entries: &[Entry]) -> Vec<usize> {
-            let mut ends = Vec::with_capacity(entries.len());
-            let mut pos = 0usize;
-            let mut buf = Vec::new();
-            for e in entries {
-                buf.clear();
-                encode_entry(e, &mut buf);
-                pos += 8 + buf.len();
-                ends.push(pos);
-            }
-            ends
+            let mut frames = Vec::new();
+            entries
+                .iter()
+                .map(|e| {
+                    frame_entry(&mut frames, e).unwrap();
+                    frames.len()
+                })
+                .collect()
         }
 
         proptest! {

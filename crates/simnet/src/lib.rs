@@ -85,7 +85,7 @@ pub use station::{ServiceStation, StationConfig};
 pub use tempdir::TestDir;
 pub use trace::{PipelineTracer, StageTracer, TraceSpan};
 pub use transport::{
-    append_frame, reply_hub, spawn_frame_listener, spawn_wire_listener, FrameDecoder, FrameError,
-    RemoteReply, ReplyHub, ReplyTo, TcpSender, TransportMetrics, FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
+    append_frame, reply_hub, spawn_frame_listener, spawn_wire_listener, Endpoint, FrameDecoder,
+    FrameError, FrameReader, RemoteReply, ReplyHub, ReplyTo, TcpSender, TransportMetrics,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };

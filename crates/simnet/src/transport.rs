@@ -1,5 +1,8 @@
 //! Real-socket transport backend: length-prefixed, CRC-checked frames over
-//! `std::net::TcpStream`.
+//! `std::net::TcpStream` — and the repository's one framing layer: the WAL,
+//! the checkpoints and the archive write their entries with
+//! [`append_frame`] and read them back through [`FrameReader`], so a frame
+//! on disk is the frame a socket carries.
 //!
 //! The simulated substrate moves messages over crossbeam channels; this
 //! module moves the *same* `Wire`-encoded messages over real TCP sockets so
@@ -13,6 +16,10 @@
 //!   `[len u32 LE][crc32 u32 LE][payload]`. Corrupt input is rejected,
 //!   never panicked on, and a CRC-failed frame does not mis-frame the next
 //!   message (the length prefix still delimits it).
+//! * [`FrameReader`] — the same decoder over anything that is `Read` and
+//!   ends (a file, a connection read until it closes): intact frames, then
+//!   whether the source ended cleanly or torn, and how long its valid
+//!   prefix is.
 //! * [`TcpSender`] — a pooled, reconnecting connection to one peer. Every
 //!   message is serialized once, header and payload, straight into the
 //!   connection's frame buffer; a flush writes everything buffered in one
@@ -23,6 +30,9 @@
 //! * [`spawn_wire_listener`] — binds `127.0.0.1:0`, decodes inbound frames
 //!   into typed messages, and hands them to a callback (one reader thread
 //!   per connection, reusable receive buffer).
+//! * [`Endpoint`] — where a stage handle sends: the stage's channel or
+//!   inbox, or (after [`Endpoint::listen`]) its loopback listener through
+//!   a `TcpSender`. The one place where a hop picks its substrate.
 //! * [`ReplyTo`] — a reply slot that is a plain channel sender on the
 //!   simnet backend and a dial-back (address, token) pair on the TCP
 //!   backend, so request/reply RPCs cross the wire without the caller
@@ -74,7 +84,7 @@ const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 pub struct TransportMetrics {
     /// Bytes written to sockets (headers included).
     pub bytes_out: Counter,
-    /// Bytes read from sockets.
+    /// Bytes of the frames taken off sockets (headers included).
     pub bytes_in: Counter,
     /// Frames successfully sent or decoded.
     pub frames: Counter,
@@ -226,6 +236,88 @@ impl FrameDecoder {
         let mut frame = self.buf.split_to(FRAME_HEADER_BYTES + len);
         frame.advance(FRAME_HEADER_BYTES);
         Ok(Some(frame.freeze()))
+    }
+}
+
+/// Frames out of a byte source that ends — a WAL segment, a checkpoint, an
+/// archive, a connection read until it closes — through the same
+/// [`FrameDecoder`] a listener's bytes go through, so what verifies on a
+/// hop is what verifies on disk.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    source: R,
+    decoder: FrameDecoder,
+    chunk: Vec<u8>,
+    valid_bytes: u64,
+    /// The source ended inside a frame.
+    cut_short: bool,
+    /// A whole frame failed its CRC or claimed more than the cap.
+    corrupt: bool,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader of the frames that start where `source` stands.
+    pub fn new(source: R) -> Self {
+        Self::with_chunk(source, 64 * 1024)
+    }
+
+    /// [`new`](Self::new), taking up to `chunk_bytes` from `source` per
+    /// read: for a source known to be short (one frame of a known length).
+    pub fn with_chunk(source: R, chunk_bytes: usize) -> Self {
+        FrameReader {
+            source,
+            decoder: FrameDecoder::new(),
+            chunk: vec![0u8; chunk_bytes],
+            valid_bytes: 0,
+            cut_short: false,
+            corrupt: false,
+        }
+    }
+
+    /// The next intact frame's payload. `Ok(None)` once there is no more
+    /// to take: at the end of the source, or at the first frame that is
+    /// cut short, fails its CRC or claims more than [`MAX_FRAME_BYTES`]
+    /// ([`torn`](Self::torn) tells which). Nothing past a torn frame is
+    /// ever returned.
+    pub fn next_frame(&mut self) -> io::Result<Option<Bytes>> {
+        while !self.torn() {
+            match self.decoder.next_frame() {
+                Ok(Some(payload)) => {
+                    self.valid_bytes += (FRAME_HEADER_BYTES + payload.len()) as u64;
+                    return Ok(Some(payload));
+                }
+                Ok(None) => match self.source.read(&mut self.chunk) {
+                    Ok(0) => {
+                        self.cut_short = self.decoder.buffered() > 0;
+                        return Ok(None);
+                    }
+                    Ok(n) => self.decoder.extend(&self.chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                },
+                Err(_) => self.corrupt = true,
+            }
+        }
+        Ok(None)
+    }
+
+    /// Whether the frames ended at one that did not verify rather than at
+    /// the end of the source.
+    pub fn torn(&self) -> bool {
+        self.cut_short || self.corrupt
+    }
+
+    /// Whether the source ended inside a frame — what a write interrupted
+    /// by a crash leaves — as opposed to holding a whole frame that fails
+    /// its CRC, which may have intact frames behind it.
+    pub fn cut_short(&self) -> bool {
+        self.cut_short
+    }
+
+    /// Bytes of the frames returned so far, headers included: the length
+    /// of the source's valid prefix once `next_frame` has returned `None`.
+    pub fn valid_bytes(&self) -> u64 {
+        self.valid_bytes
     }
 }
 
@@ -620,29 +712,19 @@ fn serve_connection<F>(
     F: Fn(Bytes),
 {
     let _ = stream.set_read_timeout(Some(READ_POLL_INTERVAL));
-    let mut stream = stream;
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = vec![0u8; 64 * 1024];
+    let mut frames = FrameReader::new(stream);
     while !shutdown.is_signaled() {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                metrics.bytes_in.add(n as u64);
-                decoder.extend(&chunk[..n]);
-                loop {
-                    match decoder.next_frame() {
-                        Ok(Some(payload)) => {
-                            metrics.frames.add(1);
-                            on_frame(payload);
-                        }
-                        Ok(None) => break,
-                        // A stream that failed framing once cannot be
-                        // trusted again: drop the connection and let the
-                        // sender reconnect.
-                        Err(_) => return,
-                    }
-                }
+        match frames.next_frame() {
+            Ok(Some(payload)) => {
+                metrics
+                    .bytes_in
+                    .add((FRAME_HEADER_BYTES + payload.len()) as u64);
+                metrics.frames.add(1);
+                on_frame(payload);
             }
+            // The peer is gone, or the stream failed framing once and cannot
+            // be trusted again: drop the connection, the sender reconnects.
+            Ok(None) => break,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
@@ -669,6 +751,83 @@ where
             on_msg(msg);
         }
     })
+}
+
+/// Where one hop's messages go — decided once, when the deployment called
+/// [`listen`](Self::listen) for the receiving stage or did not.
+pub enum Endpoint<T> {
+    /// The channel the stage's thread receives on.
+    Channel(Sender<T>),
+    /// Any other way into the stage (the queues' token inbox).
+    Inbox(Arc<dyn Fn(T) + Send + Sync>),
+    /// The stage's listener, and the one of the two above that it feeds.
+    Tcp(Arc<TcpSender>, Arc<Endpoint<T>>),
+}
+
+impl<T> Clone for Endpoint<T> {
+    fn clone(&self) -> Self {
+        match self {
+            Endpoint::Channel(tx) => Endpoint::Channel(tx.clone()),
+            Endpoint::Inbox(put) => Endpoint::Inbox(Arc::clone(put)),
+            Endpoint::Tcp(wire, local) => Endpoint::Tcp(Arc::clone(wire), Arc::clone(local)),
+        }
+    }
+}
+
+// The senders are inlined: `read_mix` shows a call more per RPC.
+impl<T: Wire + Send + 'static> Endpoint<T> {
+    /// Delivers `msg`; over TCP it is on the socket when this returns. A
+    /// stage that is gone is `ShutDown`, a failed write `Transport`.
+    #[inline]
+    pub fn send(&self, msg: T) -> Result<(), ChariotsError> {
+        match self {
+            Endpoint::Tcp(wire, _) => wire.send(&msg),
+            local => local.send_local(msg),
+        }
+    }
+
+    /// [`send`](Self::send), except that over TCP the write is left to the
+    /// connection's writer thread ([`TcpSender::post`]): for one-way
+    /// messages nobody waits on.
+    #[inline]
+    pub fn post(&self, msg: T) -> Result<(), ChariotsError> {
+        match self {
+            Endpoint::Tcp(wire, _) => wire.post(&msg),
+            local => local.send_local(msg),
+        }
+    }
+
+    /// Hands `msg` to the stage itself, past any listener: for the
+    /// traffic of a harness that models the machine, not its clients.
+    #[inline]
+    pub fn send_local(&self, msg: T) -> Result<(), ChariotsError> {
+        match self {
+            Endpoint::Channel(tx) => tx.send(msg).map_err(|_| ChariotsError::ShutDown),
+            Endpoint::Inbox(put) => {
+                put(msg);
+                Ok(())
+            }
+            Endpoint::Tcp(_, local) => local.send_local(msg),
+        }
+    }
+
+    /// Puts the stage on TCP: a loopback listener (threads `{name}-accept`,
+    /// `{name}-conn`) feeds what this endpoint feeds, raw — station
+    /// arrivals and spans stay with the sender — and the result dials it.
+    pub fn listen(
+        &self,
+        name: &str,
+        shutdown: Shutdown,
+        metrics: TransportMetrics,
+    ) -> io::Result<Endpoint<T>> {
+        let local = Arc::new(self.clone());
+        let feeds = Arc::clone(&local);
+        let addr = spawn_wire_listener(name, shutdown, metrics.clone(), move |msg: T| {
+            let _ = feeds.send_local(msg);
+        })?;
+        let wire = Arc::new(TcpSender::new(addr, metrics));
+        Ok(Endpoint::Tcp(wire, local))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -737,32 +896,17 @@ pub fn reply_hub() -> &'static ReplyHub {
     })
 }
 
-fn hub_serve(mut stream: TcpStream, waiters: Arc<Mutex<HashMap<u64, ReplyCallback>>>) {
-    let mut decoder = FrameDecoder::new();
-    let mut chunk = vec![0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => {
-                decoder.extend(&chunk[..n]);
-                loop {
-                    match decoder.next_frame() {
-                        Ok(Some(payload)) => {
-                            let mut r = WireReader::new(payload);
-                            let (Some(token), Some(has)) = (r.u64(), r.u8()) else {
-                                return;
-                            };
-                            let reply = if has == 1 { Some(r) } else { None };
-                            let cb = waiters.lock().remove(&token);
-                            if let Some(cb) = cb {
-                                cb(reply);
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => return,
-                    }
-                }
-            }
+fn hub_serve(stream: TcpStream, waiters: Arc<Mutex<HashMap<u64, ReplyCallback>>>) {
+    let mut frames = FrameReader::new(stream);
+    while let Ok(Some(payload)) = frames.next_frame() {
+        let mut r = WireReader::new(payload);
+        let (Some(token), Some(has)) = (r.u64(), r.u8()) else {
+            return;
+        };
+        let reply = if has == 1 { Some(r) } else { None };
+        let cb = waiters.lock().remove(&token);
+        if let Some(cb) = cb {
+            cb(reply);
         }
     }
 }
@@ -941,30 +1085,6 @@ mod tests {
         )
         .unwrap();
         (addr, rx)
-    }
-
-    /// Reads `stream` until `n` more frames have been decoded.
-    fn read_frames(stream: &mut TcpStream, dec: &mut FrameDecoder, n: usize) -> Vec<Bytes> {
-        let mut frames = Vec::new();
-        let mut chunk = vec![0u8; 64 * 1024];
-        loop {
-            while frames.len() < n {
-                match dec.next_frame().unwrap() {
-                    Some(frame) => frames.push(frame),
-                    None => break,
-                }
-            }
-            if frames.len() == n {
-                return frames;
-            }
-            let got = stream.read(&mut chunk).unwrap();
-            assert!(
-                got > 0,
-                "connection closed {} frames short",
-                n - frames.len()
-            );
-            dec.extend(&chunk[..got]);
-        }
     }
 
     fn entry(lid: u64, body: &'static [u8]) -> Entry {
@@ -1242,7 +1362,7 @@ mod tests {
             // The peer accepts and does not read. The kernel's buffers fill,
             // the writer thread blocks in `write`, the pending buffer fills
             // to the cap, and the poster stops — however much the kernel took.
-            let (mut conn, _) = listener.accept().unwrap();
+            let (conn, _) = listener.accept().unwrap();
             let deadline = Instant::now() + Duration::from_secs(60);
             let mut seen = u64::MAX;
             loop {
@@ -1262,9 +1382,9 @@ mod tests {
             // Draining the socket lets the blocked `post`, frame `seen`, go
             // through; the poster then sees `stop` and the scope can end.
             stop.store(true, Ordering::SeqCst);
-            let mut dec = FrameDecoder::new();
+            let mut frames = FrameReader::new(&conn);
             for i in 0..=seen {
-                let frame = read_frames(&mut conn, &mut dec, 1).remove(0);
+                let frame = frames.next_frame().unwrap().expect("a frame short");
                 let body: Bytes = chariots_types::decode_exact(frame).unwrap();
                 assert_eq!(body.len(), FRAME);
                 assert!(body.iter().all(|&b| b == i as u8), "frame {i} corrupt");
@@ -1292,12 +1412,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let metrics = TransportMetrics::detached();
         let sender = TcpSender::new(listener.local_addr().unwrap(), metrics.clone());
-        let as_u64 = |frame: Bytes| chariots_types::decode_exact::<u64>(frame).unwrap();
+        let next_u64 = |conn: &TcpStream| {
+            let frame = FrameReader::new(conn).next_frame().unwrap().unwrap();
+            chariots_types::decode_exact::<u64>(frame).unwrap()
+        };
 
         sender.post(&1u64).unwrap();
-        let (mut first, _) = listener.accept().unwrap();
-        let mut dec = FrameDecoder::new();
-        assert_eq!(as_u64(read_frames(&mut first, &mut dec, 1).remove(0)), 1);
+        let (first, _) = listener.accept().unwrap();
+        assert_eq!(next_u64(&first), 1);
 
         // The listener drops the connection with a frame unread, which
         // resets it. That frame is lost: the kernel had taken it.
@@ -1317,9 +1439,8 @@ mod tests {
         assert!(sender_side.peek(&mut probe).is_err());
 
         sender.post(&3u64).unwrap();
-        let (mut second, _) = listener.accept().unwrap();
-        let mut dec = FrameDecoder::new();
-        assert_eq!(as_u64(read_frames(&mut second, &mut dec, 1).remove(0)), 3);
+        let (second, _) = listener.accept().unwrap();
+        assert_eq!(next_u64(&second), 3);
         assert_eq!(metrics.reconnects.get(), 1);
     }
 
@@ -1366,6 +1487,53 @@ mod tests {
             assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), i);
         }
         shutdown.signal();
+    }
+
+    #[test]
+    fn an_endpoint_delivers_over_every_substrate_and_reports_a_stage_that_is_gone() {
+        let (tx, rx) = unbounded::<u64>();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let channel = Endpoint::Channel(tx);
+        let inbox = Endpoint::Inbox(Arc::new(move |n: u64| sink.lock().push(n)));
+        let shutdown = Shutdown::new();
+        let listen = |local: &Endpoint<u64>| {
+            local
+                .listen("test", shutdown.clone(), TransportMetrics::detached())
+                .unwrap()
+        };
+        let (wired, relayed) = (listen(&channel), listen(&inbox));
+        channel.send(1).unwrap();
+        wired.send(2).unwrap();
+        wired.post(3).unwrap();
+        for expected in 1..=3 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(expected));
+        }
+        inbox.send(4).unwrap();
+        inbox.post(5).unwrap();
+        relayed.clone().send(6).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while *seen.lock() != [4, 5, 6] {
+            assert!(Instant::now() < deadline, "saw {:?}", seen.lock());
+            thread::yield_now();
+        }
+
+        // The listener gone: the connection it held goes within a poll
+        // interval and the re-dial is refused — the transport's error.
+        shutdown.signal();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !matches!(wired.send(7), Err(ChariotsError::Transport(_))) {
+            assert!(Instant::now() < deadline, "sends never failed");
+            thread::sleep(Duration::from_millis(10));
+        }
+        // Past the dead listener the stage is still there…
+        wired.send_local(7).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        // …and the stage gone, a local endpoint says so.
+        drop(rx);
+        assert_eq!(channel.send(8), Err(ChariotsError::ShutDown));
+        assert_eq!(channel.post(8), Err(ChariotsError::ShutDown));
+        assert_eq!(wired.send_local(8), Err(ChariotsError::ShutDown));
     }
 
     #[test]

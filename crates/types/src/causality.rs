@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{DatacenterId, TOId};
 
 /// A causal cut: for every datacenter, the highest `TOId` included in the cut.
@@ -19,7 +17,7 @@ use crate::ids::{DatacenterId, TOId};
 /// `VersionVector` is fixed-size (one entry per datacenter in the
 /// deployment). Entry `d` holds the largest `TOId` of datacenter `d`'s
 /// records contained in the cut, with [`TOId::NONE`] meaning "none".
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VersionVector {
     entries: Vec<TOId>,
 }

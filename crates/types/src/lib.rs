@@ -147,8 +147,8 @@ mod proptests {
         }
 
         /// The wire codec is lossless on arbitrary record batches —
-        /// including the trace id, which serde deliberately drops but the
-        /// TCP backend must carry.
+        /// including the trace id, which the TCP backend and the WAL must
+        /// carry.
         #[test]
         fn wire_roundtrips_arbitrary_record_batches(
             batch in proptest::collection::vec((0u64..1 << 40, arb_record()), 0..16),

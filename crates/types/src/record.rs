@@ -9,7 +9,6 @@
 use std::fmt;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::causality::VersionVector;
 use crate::ids::{DatacenterId, LId, RecordId, TOId, TraceId};
@@ -18,7 +17,7 @@ use crate::ids::{DatacenterId, LId, RecordId, TOId, TraceId};
 ///
 /// Values participate in indexer lookup predicates (§5.3): "look up records
 /// with a certain tag with values greater than *i*".
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TagValue {
     /// An integer value, comparable in lookup rules.
     Int(i64),
@@ -54,7 +53,7 @@ impl From<String> for TagValue {
 }
 
 /// One tag: a key naming a feature of the record, optionally with a value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tag {
     /// The tag's name; indexers shard and look up by this key.
     pub key: String,
@@ -82,7 +81,7 @@ impl Tag {
 
 /// The set of tags attached to one record ("each record might have more than
 /// one tag", §5.3). Small-vector semantics: records typically carry 0–4 tags.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TagSet {
     tags: Vec<Tag>,
 }
@@ -149,7 +148,7 @@ impl FromIterator<Tag> for TagSet {
 /// Contains everything the abstract solution's *Append* event attaches
 /// (§6.1): host identifier and `TOId` (in [`RecordId`]), causality
 /// information ([`VersionVector`]), tags, and the opaque body.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// Host datacenter + total-order id: the record's global identity.
     pub id: RecordId,
@@ -163,9 +162,8 @@ pub struct Record {
     pub body: Bytes,
     /// Observability: set on a sampled subset of records so the pipeline
     /// stages can stamp per-stage enter/exit times. Not part of the
-    /// record's identity (excluded from equality) and not persisted or
-    /// sent on the wire.
-    #[serde(skip)]
+    /// record's identity (excluded from equality); the `Wire` encoding
+    /// carries it, across hops and onto disk.
     pub trace: Option<TraceId>,
 }
 
@@ -232,7 +230,7 @@ impl Record {
 
 /// A record copy persisted in one datacenter's log: the record plus the
 /// `LId` of this copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entry {
     /// Position of this copy in the local shared log.
     pub lid: LId,
@@ -388,22 +386,5 @@ mod tests {
         );
         let traced = r.clone().with_trace(Some(TraceId(9)));
         assert_eq!(r, traced, "trace ids are diagnostic, not identity");
-        // And it never crosses the wire: serde drops it.
-        let json = serde_json::to_string(&traced).unwrap();
-        let back: Record = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.trace, None);
-    }
-
-    #[test]
-    fn record_roundtrips_serde() {
-        let r = Record::new(
-            rid(1, 2),
-            VersionVector::from_entries(vec![TOId(1), TOId(2)]),
-            TagSet::new().with(Tag::with_value("k", 7i64)),
-            Bytes::from_static(b"body"),
-        );
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Record = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
     }
 }

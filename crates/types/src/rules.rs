@@ -5,13 +5,11 @@
 //! constrain the value and bound the number of results ("return the most
 //! recent 100 record LIds", §5.3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{DatacenterId, LId, TOId};
 use crate::record::{Entry, TagValue};
 
 /// A comparison predicate over a tag's value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValuePredicate {
     /// Value equals the operand.
     Eq(TagValue),
@@ -41,7 +39,7 @@ impl ValuePredicate {
 }
 
 /// One atomic read condition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Condition {
     /// The copy's `LId` equals the operand.
     LIdEq(LId),
@@ -84,7 +82,7 @@ impl Condition {
 }
 
 /// How many matches to return, and from which end of the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limit {
     /// All matching records, in `LId` order.
     All,
@@ -97,7 +95,7 @@ pub enum Limit {
 
 /// A complete read rule: the conjunction of all conditions, bounded by a
 /// limit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadRule {
     /// Conditions; a record matches when it satisfies all of them.
     pub conditions: Vec<Condition>,

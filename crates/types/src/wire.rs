@@ -1,8 +1,10 @@
-//! Hand-rolled wire codec for the TCP transport backend.
+//! The one byte encoding of the data model: what a TCP hop carries and
+//! what the WAL, the checkpoints and the archive hold.
 //!
 //! The simnet substrate moves values between stages by `Send`ing them over
 //! crossbeam channels — no bytes, no copies. The real TCP backend needs an
-//! on-wire form, and this module is its codec seam: a tiny, explicit
+//! on-wire form, a maintainer an on-disk one, and they are the same; this
+//! module is that codec: a tiny, explicit
 //! [`Wire`] trait (length-delimited little-endian fields, no reflection,
 //! no external serialization framework) plus the [`WireReader`] cursor
 //! that decodes from a refcounted [`Bytes`] buffer so record **bodies are
@@ -22,9 +24,9 @@
 //!   receive path at zero intermediate copies of record bodies.
 //!
 //! The frame layer (length prefix + CRC, torn-frame reassembly) lives in
-//! `chariots-simnet::transport`; this module only defines payload bytes.
-//! The CRC-32 implementation lives here because both the WAL's frame
-//! format and the transport's share it.
+//! `chariots-simnet::transport`, for sockets and files alike; this module
+//! only defines payload bytes — and the CRC-32, which the frames and the
+//! WAL's segment headers share.
 
 use bytes::Bytes;
 
@@ -70,9 +72,8 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Computes the IEEE CRC-32 checksum of `data` (shared by the transport's
-/// frame header, the WAL's entry frames and segment headers, and the
-/// checkpoint files). Table-sliced: eight bytes per step, then the tail a
+/// Computes the IEEE CRC-32 checksum of `data` (the frame header's, on
+/// sockets and on disk, and the WAL segment headers'). Table-sliced: eight bytes per step, then the tail a
 /// byte at a time. The value is that of the plain bit-at-a-time
 /// definition for every input, so nothing on disk or on the wire depends
 /// on how it is computed.
@@ -463,9 +464,9 @@ impl Wire for VersionVector {
 }
 
 impl Wire for Record {
-    // Unlike serde (which skips it), the wire form carries the trace id:
-    // the TCP backend must preserve sampled-trace continuity across hops
-    // exactly as the in-process channels do.
+    // The wire form carries the trace id: the TCP backend must preserve
+    // sampled-trace continuity across hops exactly as the in-process
+    // channels do, and the WAL across a restart.
     fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
         self.deps.encode(buf);

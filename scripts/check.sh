@@ -5,7 +5,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The two gates that need no registry come first, so they are reached —
+# The three gates that need no registry come first, so they are reached —
 # and say something — where clippy and the workspace tests cannot resolve
 # their dependencies.
 echo "==> cargo fmt --check"
@@ -16,6 +16,10 @@ cargo fmt --all -- --check
 # audit.
 echo "==> offline manifest (benchmark smoke)"
 cargo test --offline --manifest-path crates/benchmark/offline/Cargo.toml
+
+# The unit tests of flstore (WAL, checkpoint, archive, replication) and
+# core, which the manifest above builds but does not run.
+scripts/unit_offline.sh
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
