@@ -159,9 +159,10 @@ impl FLStoreClient {
     }
 
     /// Sets the retry schedule used for transient errors (Unavailable,
-    /// fenced or primary-less groups, stale-journal routing). The default
-    /// rides out a failover window; `RetryPolicy::new().max_attempts(1)`
-    /// restores fail-fast behavior.
+    /// fenced or primary-less groups, stale-journal routing) and for a
+    /// position below the held Head that its owner does not serve yet. The
+    /// default rides out a failover window and several gossip rounds;
+    /// `RetryPolicy::new().max_attempts(1)` restores fail-fast behavior.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -278,8 +279,13 @@ impl FLStoreClient {
     /// [`crate::ReplicaGroupHandle::read_batch`] RPC per owning group,
     /// issued concurrently across groups. Transiently failing positions
     /// (downed or fenced groups, stale routing) are retried with jittered
-    /// backoff after a session refresh; everything else (`NotYetAvailable`,
-    /// `GarbageCollected`, …) lands in that position's slot.
+    /// backoff after a session refresh. So is a position below the highest
+    /// Head this client was handed that its owner refuses as
+    /// `NotYetAvailable`: the maintainer that vouched for the Head had heard
+    /// gossip the owner has yet to hear. Everything else (`NotYetAvailable`
+    /// at or above that Head, `GarbageCollected`, …), and a refusal still
+    /// standing when the retry budget is spent, lands in that position's
+    /// slot.
     pub fn read_many(&mut self, lids: &[LId]) -> Vec<Result<Entry>> {
         self.read_many_with_hl(lids, true)
     }
@@ -288,11 +294,20 @@ impl FLStoreClient {
     pub fn read_many_with_hl(&mut self, lids: &[LId], enforce_hl: bool) -> Vec<Result<Entry>> {
         // One slot per position, open until its owner answers it.
         let mut results: Vec<Option<Result<Entry>>> = vec![None; lids.len()];
+        let held = self.held_head();
+        // A refusal worth another round: a transient one, or the gate's
+        // refusal of a position this client was told is readable.
+        let retryable = |lid: LId, e: &ChariotsError| {
+            transient(e)
+                || (enforce_hl && lid < held && matches!(e, ChariotsError::NotYetAvailable(_)))
+        };
         let retry = self.retry.clone();
         // Each round reads the slots still open (never answered, or refused
-        // transiently) under the possibly refreshed journal; a slot still
-        // refused at the retry budget keeps its error.
-        let _ = retry.run(transient, |attempt| {
+        // retryably) under the possibly refreshed journal; a slot still
+        // refused at the retry budget keeps its error. A round fails only
+        // with a retryable refusal, so every failed round is retried.
+        let always = |_: &ChariotsError| true;
+        let _ = retry.run(always, |attempt| {
             if attempt > 0 {
                 self.refresh_session();
             }
@@ -302,7 +317,7 @@ impl FLStoreClient {
                 .filter(|&i| {
                     results[i]
                         .as_ref()
-                        .is_none_or(|r| r.as_ref().is_err_and(transient))
+                        .is_none_or(|r| r.as_ref().is_err_and(|e| retryable(lids[i], e)))
                 })
                 .map(|i| (journal.owner_of(lids[i]).index(), i))
                 .collect();
@@ -333,7 +348,7 @@ impl FLStoreClient {
             let mut refused = None;
             let mut place = |slots: &[(usize, usize)], answers: Vec<Result<Entry>>| {
                 for (&(_, i), r) in slots.iter().zip(answers) {
-                    if let Some(e) = r.as_ref().err().filter(|e| transient(e)) {
+                    if let Some(e) = r.as_ref().err().filter(|e| retryable(lids[i], e)) {
                         refused = Some(e.clone());
                     }
                     results[i] = Some(r);
@@ -358,7 +373,7 @@ impl FLStoreClient {
                     place(slots, answers);
                 }
             }
-            // A transient refusal fails the round, so another one follows.
+            // A retryable refusal fails the round, so another one follows.
             refused.map_or(Ok(()), Err)
         });
         results
@@ -377,14 +392,17 @@ impl FLStoreClient {
     /// The cursor ends at the first position not consumed — the one
     /// `visit` stopped at, or the first that could not be read. It never
     /// moves past a position it could not read. A position refused as
-    /// `NotYetAvailable` (say, by an owner that has not yet heard the
-    /// gossip behind `upto`) ends the call with `Ok`: the readable log ends
-    /// there for now, as if `upto` were lower. Any other read error is
-    /// returned only when the call consumed nothing, so an `Err` never
-    /// follows entries the caller already took. `Ok` with `*cursor == upto`
-    /// is caught up; `Ok` with `*cursor < upto` and no `Break` is stopped at
-    /// a position not readable yet, which a later call retries (a record
-    /// that is never served holds the cursor there for good).
+    /// `NotYetAvailable` ends the call with `Ok`: the readable log ends
+    /// there for now, as if `upto` were lower. Below a Head this client
+    /// was handed that refusal comes only after `read_many` has waited out
+    /// the owner's gossip lag for the retry budget; above it (say, `upto`
+    /// taken from another client's Head) it comes at once. Any other read
+    /// error is returned only when the call consumed nothing, so an `Err`
+    /// never follows entries the caller already took.
+    /// `Ok` with `*cursor == upto` is caught up; `Ok` with `*cursor < upto`
+    /// and no `Break` is stopped at a position not readable yet, which a
+    /// later call retries (a record that is never served holds the cursor
+    /// there for good).
     pub fn follow(
         &mut self,
         cursor: &mut LId,
@@ -419,11 +437,17 @@ impl FLStoreClient {
 
     /// The Head of the Log: every position strictly below it is readable
     /// (Hyksos polls this to pick get-transaction snapshots, Alg. 1).
-    /// Always fetched fresh; the result refreshes the client's HL cache.
+    ///
+    /// Always fetched fresh from one maintainer, whose view may lag another's
+    /// by a gossip round, so the client returns the highest Head it has been
+    /// handed: one client's Heads never go backwards. The result refreshes
+    /// the client's HL cache. The owner of a position below the Head may not
+    /// have heard the gossip behind it yet; [`read_many`](Self::read_many)
+    /// waits that out within the retry budget.
     pub fn head_of_log(&mut self) -> Result<LId> {
         // Any maintainer answers ("it asks one of the maintainers").
         let retry = self.retry.clone();
-        let hl = retry.run(transient, |attempt| {
+        let fetched = retry.run(transient, |attempt| {
             if attempt > 0 {
                 self.refresh_session();
             }
@@ -431,8 +455,15 @@ impl FLStoreClient {
             self.obs.rpc_count.add(1);
             self.session.maintainers[i].head_of_log()
         })?;
+        let hl = fetched.max(self.held_head());
         self.hl_cache = Some((hl, Instant::now()));
         Ok(hl)
+    }
+
+    /// The highest Head of the Log this client has been handed (zero before
+    /// its first poll).
+    fn held_head(&self) -> LId {
+        self.hl_cache.map_or(LId::ZERO, |(hl, _)| hl)
     }
 
     /// The HL for rule evaluation: served from the cache while younger
@@ -743,6 +774,50 @@ mod tests {
             follow_all(&mut client, &mut cursor, LId(4)).unwrap(),
             [LId(3)]
         );
+        store.shutdown();
+    }
+
+    /// Polls until the client holds the Head of 4 that maintainer 0
+    /// vouches for; maintainer 1 still answers 0.
+    fn hold_head_of_four(client: &mut FLStoreClient) {
+        for _ in 0..2 {
+            client.head_of_log().unwrap();
+        }
+        // A poll answered by maintainer 1 does not take the Head back.
+        for _ in 0..2 {
+            assert_eq!(client.head_of_log().unwrap(), LId(4));
+        }
+    }
+
+    #[test]
+    fn a_position_below_the_held_head_waits_for_its_owner_to_hear_the_gossip() {
+        let store = one_sided_store();
+        let mut client = fail_fast(&store);
+        hold_head_of_four(&mut client);
+        let got = client.read(LId(1));
+        assert!(
+            matches!(got, Err(ChariotsError::NotYetAvailable(LId(1)))),
+            "{got:?}"
+        );
+
+        let mut client = store.client();
+        hold_head_of_four(&mut client);
+        let rpcs = client.obs.rpc_count.clone();
+        let before = rpcs.get();
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                // Once a second read RPC is under way, the first was
+                // refused: only then does maintainer 1 hear the gossip.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while rpcs.get() < before + 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                store.maintainers()[1].gossip_in(MaintainerId(0), LId(4));
+            });
+            client.read(LId(1))
+        });
+        assert_eq!(got.unwrap().lid, LId(1));
+        assert!(rpcs.get() - before >= 2, "the read was never refused");
         store.shutdown();
     }
 

@@ -633,8 +633,10 @@ mod tests {
         }
         hear(&cluster, 0);
         let mut view = Materializer::new(cluster.client(DatacenterId(0)));
-        // The Head polls alternate between the maintainers' views, 0 and 4;
-        // under 4 the view takes k0, then stops at the refused position 1.
+        // The Head polls ask the maintainers in turn, whose views are 0 and
+        // 4, and the client keeps the highest Head it was handed; under 4
+        // the view takes k0, then stops at position 1, which its owner
+        // still refuses when the client's retry budget is spent.
         for _ in 0..4 {
             view.catch_up().unwrap();
         }

@@ -689,9 +689,10 @@ mod tests {
         }
         hear(&cluster, 0);
         let mut tm = TxnManager::new(cluster.dc(dc(0)), CommitPolicy::MessageFutures);
-        // The Head polls alternate between the maintainers' views, 0 and 4;
-        // under 4 the manager decides t0, then stops at the refused
-        // position 1.
+        // The Head polls ask the maintainers in turn, whose views are 0 and
+        // 4, and the client keeps the highest Head it was handed; under 4
+        // the manager decides t0, then stops at position 1, which its
+        // owner still refuses when the client's retry budget is spent.
         for _ in 0..4 {
             let _ = tm.refresh();
         }

@@ -39,12 +39,9 @@ cargo build --release --offline --manifest-path crates/benchmark/offline/Cargo.t
 #
 # repair_sources_…: fails at every commit since it was written, for a
 # reason of its own (ROADMAP item 2b: what a deposed primary's longer log
-# may overwrite). hl_remains_safe_…: once seen failing 2 runs in 5, now
-# on every run on a 2-vCPU host (ROADMAP item 2c: a Head a client cannot
-# yet read under).
+# may overwrite).
 known_failing=(
   "chariots-flstore|--lib|replication::tests::repair_sources_from_the_primary_not_a_longer_deposed_log"
-  "chariots|--test elasticity|hl_remains_safe_during_maintainer_growth"
 )
 
 skips=()
